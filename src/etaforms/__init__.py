@@ -18,8 +18,6 @@ from .eta import (                                      # noqa: F401
     EtaCombination,
     EtaQuotient,
     euler_product,
-    expand_combination,
-    expand_quotient,
     ligozat_order,
     parse_eta_quotient,
 )

@@ -7,16 +7,15 @@ an integer polynomial P.  The subspace vanishing at the other cusps has the
 same structure with n1 in place of n0 and the cusp polynomial folded into the
 first element.
 
-Two constructions are implemented and tested against each other:
-
-* the recursive ladder: multiply the previous element by the hauptmodul and
-  subtract lower elements to restore the gap;
-* direct elimination against the power family (first element) * psi^i, which
-  reaches a single deep element without building every predecessor.
+Every element is built one way, by power elimination: take (first element) *
+psi^i for the element's degree i and clear its coefficients from q^(1-m)
+through the gap against the lower powers, recording P along the way.  The
+power table is built on first use.
 
 Elements are memoized per (level, weight, space) family; a family is rebuilt
 from scratch whenever a request exceeds its precision or index envelope, and
-rebuilt values extend previously served ones exactly.
+rebuilt values extend previously served ones exactly.  A family restored from
+disk holds the saved elements and computes any other index itself.
 """
 
 from __future__ import annotations
@@ -29,14 +28,10 @@ from fractions import Fraction
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
-from .series import QSeries, coeff_str, normalize_coeff
+from .series import QSeries, normalize_coeff
 
 M_SPACE = "M"
 S_SPACE = "S"
-
-#: ladder construction is used through this many indices above the first;
-#: deeper single elements go through power elimination instead.
-LADDER_LIMIT = 64
 
 CACHE_FORMAT_VERSION = 1
 
@@ -60,15 +55,6 @@ class BasisElement:
                 f"coefficient of q^{n} in ({self.level},{self.weight},{self.space},{self.index}) "
                 f"is {c}, not an integer")
         return c
-
-
-def _poly_sub_scaled(a: list, b: tuple, c) -> None:
-    """a -= c*b in place, padding a as needed (ascending coefficients)."""
-    while len(a) < len(b):
-        a.append(0)
-    for i, bi in enumerate(b):
-        if bi:
-            a[i] -= c * bi
 
 
 def _poly_mul(a, b):
@@ -101,20 +87,8 @@ class _Family:
         self.m0 = -self.gap
         self.prec = prec
         self.max_index = max(max_index, self.m0)
-        depth = self.max_index - self.m0
-        # each hauptmodul multiplication yields prec = psi.prec - (pole order
-        # of the partner), so psi must cover the deepest pole reached
-        reach = max(depth, self.max_index - 1, 0)
-        pad = 8
-        self._psi = data.hauptmodul_series(prec + reach + pad)
-        self._first = _first_series(data, k, space, prec + depth + pad)
-        self._first_poly = _first_poly(data, space)
         self.elements: dict[int, BasisElement] = {}
-        self.hydrated = True            # False for families restored from disk
-        self._ladder_top = None         # highest index built by the ladder
-        self._powers: list[QSeries] | None = None   # first * psi^i, by i
-
-    # -- construction routes ----------------------------------------------
+        self._powers: list[QSeries] = []     # first * psi^i, by i
 
     def element(self, m: int) -> BasisElement:
         if m < self.m0:
@@ -123,39 +97,11 @@ class _Family:
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         got = self.elements.get(m)
         if got is None:
-            if m - self.m0 <= LADDER_LIMIT:
-                self._ladder_fill(m)
-            else:
-                self.elements[m] = self._eliminate(m)
-            got = self.elements[m]
+            got = self.elements[m] = self._eliminate(m)
+            if len(self.elements) > self.max_index - self.m0:
+                # the whole envelope is built, so no power will be read again
+                self._powers = []
         return got
-
-    def _store(self, m: int, series: QSeries, poly) -> None:
-        if series.coeff(-m) != 1:
-            raise RuntimeError(
-                f"ladder pivot is {series.coeff(-m)} at index {m}; the gap structure "
-                f"for (level {self.data.N}, weight {self.k}, space {self.space}) failed")
-        self.elements[m] = BasisElement(
-            level=self.data.N, weight=self.k, index=m, space=self.space,
-            expansion=series, haupt_poly=_poly_normal(poly))
-
-    def _ladder_fill(self, target: int) -> None:
-        if self._ladder_top is None:
-            self._store(self.m0, self._first, self._first_poly)
-            self._ladder_top = self.m0
-        while self._ladder_top < target:
-            m = self._ladder_top + 1
-            prev = self.elements[m - 1]
-            cand = self._psi * prev.expansion
-            poly = [0] + list(prev.haupt_poly)
-            for t in range(-(m - 1), self.gap + 1):
-                c = cand.coeff(t)
-                if c:
-                    lower = self.elements[-t]
-                    cand = cand - lower.expansion.scalar_mul(c)
-                    _poly_sub_scaled(poly, lower.haupt_poly, c)
-            self._store(m, cand, poly)
-            self._ladder_top = m
 
     def _eliminate(self, m: int) -> BasisElement:
         """Clear the principal part of first * psi^(m-m0) against lower powers."""
@@ -184,11 +130,19 @@ class _Family:
         return element
 
     def _power_table(self, i_top: int) -> list[QSeries]:
-        if self._powers is None:
-            self._powers = [self._first]
         powers = self._powers
-        while len(powers) <= i_top:
-            powers.append(powers[-1] * self._psi)
+        if len(powers) <= i_top:
+            depth = self.max_index - self.m0
+            # each hauptmodul multiplication yields prec = psi.prec - (pole
+            # order of the partner), so psi must cover the deepest pole reached
+            reach = max(depth, self.max_index - 1, 0)
+            pad = 8
+            psi = self.data.hauptmodul_series(self.prec + reach + pad)
+            if not powers:
+                powers.append(_first_series(self.data, self.k, self.space,
+                                            self.prec + depth + pad))
+            while len(powers) <= i_top:
+                powers.append(powers[-1] * psi)
         return powers
 
 
@@ -219,10 +173,6 @@ def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
             f"first element of (level {data.N}, weight {k}, {space}) reached only "
             f"O(q^{out.prec})", needed=prec)
     return out.truncated(prec)
-
-
-def _first_poly(data: LevelData, space: str) -> tuple:
-    return (1,) if space == M_SPACE else tuple(data.cusp_poly)
 
 
 def _int_power(series_fn, e: int, vanishing: int, prec: int) -> QSeries:
@@ -279,10 +229,6 @@ class BasisCache:
             prec = max(64, gap + 17)
         with self._lock:
             fam = self.family(n, k, space, min_index=m, min_prec=prec)
-            if not fam.hydrated and m not in fam.elements:
-                # restored families are read-only; recompute to serve a miss
-                fam = _Family(data, k, space, max(fam.prec, prec), max(fam.max_index, m))
-                self._families[(n, k, space)] = fam
             elem = fam.element(m)
             if elem.expansion.prec < prec:
                 # regrow precision and rebuild
@@ -317,8 +263,8 @@ class BasisCache:
                         str(m): {
                             "valuation": e.expansion.valuation,
                             "prec": e.expansion.prec,
-                            "coeffs": [coeff_str(c) for c in e.expansion.coeffs],
-                            "poly": [coeff_str(c) for c in e.haupt_poly],
+                            "coeffs": [str(c) for c in e.expansion.coeffs],
+                            "poly": [str(c) for c in e.haupt_poly],
                         }
                         for m, e in sorted(fam.elements.items())
                     },
@@ -337,21 +283,7 @@ class BasisCache:
             doc = json.load(fh)
         if doc.get("format_version") != CACHE_FORMAT_VERSION:
             return None
-        fam = _Family.__new__(_Family)
-        fam.data = data
-        fam.k = k
-        fam.space = space
-        fam.gap = data.n0(k) if space == M_SPACE else data.n1(k)
-        fam.m0 = -fam.gap
-        fam.prec = doc["prec"]
-        fam.max_index = doc["max_index"]
-        fam.elements = {}
-        fam.hydrated = False
-        fam._ladder_top = None
-        fam._powers = None
-        fam._psi = None
-        fam._first = None
-        fam._first_poly = _first_poly(data, space)
+        fam = _Family(data, k, space, doc["prec"], doc["max_index"])
         for m_text, e in doc["elements"].items():
             m = int(m_text)
             series = QSeries(e["valuation"], [Fraction(c) for c in e["coeffs"]], e["prec"])
@@ -399,16 +331,6 @@ def b_coeff(n: int, k: int, m: int, a_n: int, cache: BasisCache | None = None) -
     """Integer coefficient of q^a_n in the S-space element of pole order m."""
     elem = (cache or _default_cache).element(n, k, S_SPACE, m, prec=a_n + 1)
     return elem.integer_coeff(a_n)
-
-
-def direct_element(n: int, k: int, space: str, m: int, prec: int = 64) -> BasisElement:
-    """One element by power elimination, bypassing the shared cache.
-
-    Used to cross-check that both construction orders agree.
-    """
-    data = get_level(n)
-    fam = _Family(data, k, space, prec, m)
-    return fam._eliminate(m)
 
 
 def decompose_in_hauptmodul(series: QSeries, psi: QSeries,

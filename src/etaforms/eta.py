@@ -146,11 +146,6 @@ class EtaQuotient:
         return format_eta_quotient(self)
 
 
-def expand_quotient(eq: EtaQuotient, prec: int = DEFAULT_PREC) -> tuple[Fraction, QSeries]:
-    """The (exact offset, unit series) pair of an eta quotient."""
-    return eq.offset(), eq.unit(prec)
-
-
 @dataclass(frozen=True)
 class EtaCombination:
     """A rational linear combination of eta quotients (scalars live on terms)."""
@@ -174,16 +169,6 @@ class EtaCombination:
         for t in self.terms:
             total = total + t.series(prec)
         return total
-
-
-def expand_combination(comb: EtaCombination, prec: int = DEFAULT_PREC) -> QSeries:
-    """Exact sum of the term expansions; FractionalValuation on a bad term."""
-    return comb.series(prec)
-
-
-def weight(obj):
-    """Weight (half the exponent sum) of a quotient or combination."""
-    return obj.weight()
 
 
 def ligozat_order(eq: EtaQuotient, c: int) -> Fraction:

@@ -36,11 +36,6 @@ def normalize_coeff(value) -> Coeff:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}: {value!r}")
 
 
-def coeff_str(value: Coeff) -> str:
-    """Render a coefficient as an exact integer or fraction string."""
-    return str(value)
-
-
 class QSeries:
     """A Laurent series truncated at an explicit precision bound."""
 
@@ -287,7 +282,7 @@ class QSeries:
         return {
             "valuation": self.valuation,
             "prec": self.prec,
-            "coeffs": [coeff_str(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
     @staticmethod
@@ -308,10 +303,10 @@ class QSeries:
             sign = "-" if (c < 0) else "+"
             mag = -c if c < 0 else c
             if e == 0:
-                body = coeff_str(mag)
+                body = str(mag)
             else:
                 var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{coeff_str(mag)}{var}"
+                body = var if mag == 1 else f"{mag}{var}"
             if i == 0:
                 out.append(body if sign == "+" else f"-{body}")
             else:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .basis import BasisCache, decompose_in_hauptmodul, default_cache
-from .errors import InsufficientPrecision, NoConsistentSign
+from .errors import InsufficientPrecision, NoConsistentSign, UnsupportedPair
 from .leveldata import get_level
 from .operators import al_sum, theta, u_p
-from .series import QSeries, coeff_str
+from .series import QSeries
 
 
 @dataclass
@@ -74,7 +74,7 @@ class ValuationRow:
 
     def csv_row(self) -> tuple:
         return (self.N, self.p, self.a, self.b, self.r, self.s, self.m, self.n,
-                coeff_str(self.coeff),
+                str(self.coeff),
                 "inf" if self.valuation is None else self.valuation,
                 "" if self.bound is None else self.bound,
                 self.status)
@@ -82,7 +82,7 @@ class ValuationRow:
     def to_json(self) -> dict:
         return {
             "N": self.N, "p": self.p, "a": self.a, "b": self.b, "r": self.r, "s": self.s,
-            "m": self.m, "n": self.n, "coeff": coeff_str(self.coeff),
+            "m": self.m, "n": self.n, "coeff": str(self.coeff),
             "valuation": self.valuation, "bound": self.bound, "status": self.status,
         }
 
@@ -317,7 +317,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     cache = cache or default_cache()
     data = get_level(n)
     if p not in data.aux:
-        raise NoConsistentSign(f"no involution data for level {n}, p={p}")
+        raise UnsupportedPair(f"no involution data for level {n}, p={p}")
     aux = data.aux[p]
     rows = []
     sign_works = {1: True, -1: True}

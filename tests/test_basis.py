@@ -1,6 +1,7 @@
 """Tests for canonical basis construction."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -9,7 +10,6 @@ from etaforms.basis import (
     a_coeff,
     b_coeff,
     decompose_in_hauptmodul,
-    direct_element,
     f_basis,
     first_element,
     g_basis,
@@ -23,6 +23,34 @@ from etaforms.series import QSeries
 @pytest.fixture()
 def cache():
     return BasisCache()
+
+
+def ladder(n, k, space, m_top, prec):
+    """Reference construction of the elements up to pole order m_top.
+
+    Each element is psi times the previous one, minus lower elements to
+    restore the gap; the hauptmodul polynomial is carried along.  Returns
+    {m: (expansion, haupt_poly)}, each expansion known past O(q^prec).
+    """
+    data = get_level(n)
+    gap = data.n0(k) if space == "M" else data.n1(k)
+    depth = m_top + gap
+    # psi * f_(m-1) is known to min(psi.prec - (m-1), f_(m-1).prec - 1)
+    psi = data.hauptmodul_series(prec + depth + m_top + 8)
+    first = first_element(n, k, space, prec=prec + depth + 8, cache=BasisCache())
+    out = {-gap: (first.expansion, first.haupt_poly)}
+    for m in range(-gap + 1, m_top + 1):
+        series, prev_poly = out[m - 1]
+        series = psi * series
+        poly = (0,) + prev_poly
+        for t in range(1 - m, gap + 1):
+            c = series.coeff(t)
+            if c:
+                lower, lower_poly = out[-t]
+                series = series - lower.scalar_mul(c)
+                poly = tuple(a - c * b for a, b in zip_longest(poly, lower_poly, fillvalue=0))
+        out[m] = (series, poly)
+    return out
 
 
 class TestFirstElement:
@@ -127,10 +155,11 @@ class TestUniqueness:
                 data = get_level(n)
                 gap = data.n0(k) if space == "M" else data.n1(k)
                 m = -gap + 5
-                ladder = cache.element(n, k, space, m, prec=40)
-                direct = direct_element(n, k, space, m, prec=40)
-                assert ladder.expansion.agrees_with(direct.expansion)
-                assert ladder.haupt_poly == direct.haupt_poly
+                elem = cache.element(n, k, space, m, prec=40)
+                series, poly = ladder(n, k, space, m, 40)[m]
+                assert series.prec >= 40
+                assert elem.expansion.agrees_with(series)
+                assert elem.haupt_poly == poly
 
 
 class TestDecompose:
@@ -194,12 +223,19 @@ class TestCachePersistence:
             assert deep.coeff(n) == fresh.coeff(n)
 
     def test_loaded_family_serves_missing_indices(self, tmp_path):
-        # a deep element is cached sparsely (no intermediate ladder entries);
-        # a reload must still serve the indices that were never stored
+        # a deep element is cached sparsely (no intermediate entries); a
+        # reload must still serve the indices that were never stored, on the
+        # family path that the checks use as well as through the cache
         disk = BasisCache(directory=str(tmp_path))
         disk.element(6, 0, "M", 70, prec=80)
         disk.save()
         reloaded = BasisCache(directory=str(tmp_path))
+        got = reloaded.family(6, 0, "M", min_index=70, min_prec=80).element(5)
+        want = BasisCache().family(6, 0, "M", min_index=70, min_prec=80).element(5)
+        assert got.expansion.valuation == want.expansion.valuation
+        assert got.expansion.coeffs == want.expansion.coeffs
+        assert got.expansion.prec == want.expansion.prec
+        assert got.haupt_poly == want.haupt_poly
         deep = reloaded.element(6, 0, "M", 70, prec=80)
         assert deep.expansion.coeff(-70) == 1
         shallow = reloaded.element(6, 0, "M", 1, prec=40)
@@ -217,17 +253,19 @@ class TestCachePersistence:
 
 
 class TestDeepElements:
-    def test_power_route_used_beyond_ladder_limit(self, cache):
+    def test_deep_element_gap_and_integrality(self, cache):
         e = cache.element(6, 0, "M", 70, prec=80)
         assert e.expansion.coeff(-70) == 1
         assert all(e.expansion.coeff(t) == 0 for t in range(-69, 1))
         e.integer_coeff(79)
 
     def test_deep_equals_shallow_route(self):
-        # same element through the ladder (small cache) and the power route
-        ladder = BasisCache().element(6, 0, "M", 20, prec=40)
-        direct = direct_element(6, 0, "M", 20, prec=40)
-        assert ladder.expansion.agrees_with(direct.expansion)
+        # a deep element by power elimination equals the step-by-step ladder
+        elem = BasisCache().element(6, 0, "M", 70, prec=40)
+        series, poly = ladder(6, 0, "M", 70, 40)[70]
+        assert series.prec >= 40
+        assert elem.expansion.agrees_with(series)
+        assert elem.haupt_poly == poly
 
 
 def test_concurrent_reads_and_builds():

@@ -78,6 +78,12 @@ class TestVerify:
                              "--rset", "1", "--amax", "1", "--no-cache-dir")
         assert code == 0
 
+    def test_al_without_involution_data_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "al", "--level", "12", "--p", "2",
+                               "--no-cache-dir")
+        assert code == 2
+        assert "no involution data" in err
+
     def test_insufficient_precision_exit_four(self, capsys):
         code, _, err = run_cli(capsys, "verify", "genfun", "--level", "6",
                                "--weight", "0", "--mmax", "40", "--zprec", "20",
@@ -166,6 +172,20 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *argv)
         assert code == 0
         assert cold == warm
+
+
+    def test_restored_family_serves_a_new_prime(self, capsys, tmp_path):
+        # the p=2 scan reads families that two p=3 scans left on disk
+        cache_dir = str(tmp_path / "cache")
+        argv = ["scan", "--level", "18", "--ncap", "200", "--format", "csv"]
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, *argv, "--p", "3", "--cache-dir", cache_dir)
+            assert code == 0
+        code, warm, _ = run_cli(capsys, *argv, "--p", "2", "--cache-dir", cache_dir)
+        assert code == 0
+        code, cold, _ = run_cli(capsys, *argv, "--p", "2", "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
 
 
 def test_console_entry_point():

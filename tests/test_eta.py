@@ -9,8 +9,6 @@ from etaforms.eta import (
     EtaCombination,
     EtaQuotient,
     euler_product,
-    expand_combination,
-    expand_quotient,
     format_eta_quotient,
     ligozat_order,
     parse_eta_quotient,
@@ -47,7 +45,7 @@ class TestEulerProduct:
 
 class TestExpandQuotient:
     def test_hauptmodul_quotient(self):
-        off, unit = expand_quotient(PSI6_QUOT, 8)
+        off, unit = PSI6_QUOT.offset(), PSI6_QUOT.unit(8)
         assert off == -1
         assert unit.valuation == 0 and unit.coeff(0) == 1
         # quotient - 4 is q^-1 + 6q + 4q^2 - 3q^3 + ...
@@ -56,7 +54,7 @@ class TestExpandQuotient:
 
     def test_eta_itself(self):
         eq = EtaQuotient(1, {1: 1})
-        off, unit = expand_quotient(eq, 16)
+        off, unit = eq.offset(), eq.unit(16)
         assert off == Fraction(1, 24)
         assert unit.agrees_with(euler_product(16))
 
@@ -68,8 +66,8 @@ class TestExpandQuotient:
             eq.series(8)
 
     def test_truncation_coherence(self):
-        off_a, unit_a = expand_quotient(PSI6_QUOT, 40)
-        off_b, unit_b = expand_quotient(PSI6_QUOT, 12)
+        off_a, unit_a = PSI6_QUOT.offset(), PSI6_QUOT.unit(40)
+        off_b, unit_b = PSI6_QUOT.offset(), PSI6_QUOT.unit(12)
         assert off_a == off_b
         assert unit_a.truncated(12).coeffs == unit_b.coeffs
 
@@ -134,7 +132,7 @@ class TestCombinations:
             parse_eta_quotient("1/54 * eta(1) * eta(4)^10 * eta(6)^9 * eta(2)^-7 * eta(3)^-3 * eta(12)^-6", 12),
             parse_eta_quotient("-1/8 * eta(1)^9 * eta(4)^3 * eta(6)^2 * eta(2)^-6 * eta(3)^-3 * eta(12)^-1", 12),
         ])
-        s = expand_combination(comb, 10)
+        s = comb.series(10)
         assert s.valuation == 4 and s.coeff(4) == 1
         assert comb.weight() == 2
 
@@ -144,7 +142,7 @@ class TestCombinations:
             EtaQuotient(18, {2: 9, 3: 8, 12: 1, 1: -6, 6: -6, 9: -2}, Fraction(1, 972)),
         ])
         with pytest.raises(FractionalValuation) as err:
-            expand_combination(comb, 8)
+            comb.series(8)
         assert "eta(12)" in str(err.value)
 
 
