@@ -20,8 +20,10 @@ disk holds the saved elements and computes any other index itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,6 +91,7 @@ class _Family:
         self.max_index = max(max_index, self.m0)
         self.elements: dict[int, BasisElement] = {}
         self._powers: list[QSeries] = []     # first * psi^i, by i
+        self.saved: int | None = None        # element count of its cache file, if any
 
     def element(self, m: int) -> BasisElement:
         if m < self.m0:
@@ -98,8 +101,9 @@ class _Family:
         got = self.elements.get(m)
         if got is None:
             got = self.elements[m] = self._eliminate(m)
-            if len(self.elements) > self.max_index - self.m0:
-                # the whole envelope is built, so no power will be read again
+            if all(i in self.elements for i in range(self.m0 + 1, self.max_index + 1)):
+                # every index above m0 is built; element m0 is powers[0], so
+                # a later request for it costs one first-element expansion
                 self._powers = []
         return got
 
@@ -107,14 +111,8 @@ class _Family:
         """Clear the principal part of first * psi^(m-m0) against lower powers."""
         i_top = m - self.m0
         powers = self._power_table(i_top)
-        series = powers[i_top]
-        poly = [0] * i_top + [1]
-        for i in range(i_top - 1, -1, -1):
-            t = -(self.m0 + i)
-            c = series.coeff(t)
-            if c:
-                series = series - powers[i].scalar_mul(c)
-                poly[i] -= c
+        peeled, series = _peel(powers[i_top], powers[:i_top], self.m0)
+        poly = [-c for c in peeled] + [1]
         for t in range(-m + 1, self.gap + 1):
             if series.coeff(t):
                 raise RuntimeError(
@@ -246,12 +244,15 @@ class BasisCache:
         return os.path.join(self.directory, f"basis_N{n}_k{k}_{space}.json")
 
     def save(self) -> list[str]:
+        """Write each family that has no file or gained elements; return the paths."""
         if not self.directory:
             raise ValueError("cache has no directory configured")
         os.makedirs(self.directory, exist_ok=True)
         written = []
         with self._lock:
             for (n, k, space), fam in sorted(self._families.items()):
+                if fam.saved == len(fam.elements):
+                    continue
                 doc = {
                     "format_version": CACHE_FORMAT_VERSION,
                     "level": n,
@@ -260,38 +261,54 @@ class BasisCache:
                     "prec": fam.prec,
                     "max_index": fam.max_index,
                     "elements": {
-                        str(m): {
-                            "valuation": e.expansion.valuation,
-                            "prec": e.expansion.prec,
-                            "coeffs": [str(c) for c in e.expansion.coeffs],
-                            "poly": [str(c) for c in e.haupt_poly],
-                        }
+                        str(m): {**e.expansion.to_json(), "poly": [str(c) for c in e.haupt_poly]}
                         for m, e in sorted(fam.elements.items())
                     },
                 }
                 path = self._path(n, k, space)
-                with open(path, "w") as fh:
-                    json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+                _write_atomically(path, doc)
+                fam.saved = len(fam.elements)
                 written.append(path)
         return written
 
     def _load(self, data: LevelData, k: int, space: str) -> _Family | None:
+        """The family saved at its path; None when absent, stale or unreadable."""
         path = self._path(data.N, k, space)
         if not os.path.exists(path):
             return None
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != CACHE_FORMAT_VERSION:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if doc.get("format_version") != CACHE_FORMAT_VERSION:
+                return None
+            fam = _Family(data, k, space, doc["prec"], doc["max_index"])
+            for m_text, e in doc["elements"].items():
+                m = int(m_text)
+                fam.elements[m] = BasisElement(
+                    level=data.N, weight=k, index=m, space=space,
+                    expansion=QSeries.from_json(e),
+                    haupt_poly=tuple(normalize_coeff(Fraction(c)) for c in e["poly"]))
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            # a parse or schema error costs a recomputation, and the next
+            # save replaces the file
+            print(f"warning: ignoring unreadable cache file {path} "
+                  f"({type(err).__name__}: {err})", file=sys.stderr)
             return None
-        fam = _Family(data, k, space, doc["prec"], doc["max_index"])
-        for m_text, e in doc["elements"].items():
-            m = int(m_text)
-            series = QSeries(e["valuation"], [Fraction(c) for c in e["coeffs"]], e["prec"])
-            fam.elements[m] = BasisElement(
-                level=data.N, weight=k, index=m, space=space,
-                expansion=series,
-                haupt_poly=tuple(normalize_coeff(Fraction(c)) for c in e["poly"]))
+        fam.saved = len(fam.elements)
         return fam
+
+
+def _write_atomically(path: str, doc: dict) -> None:
+    """Replace ``path`` by ``doc`` as JSON; a reader sees the old file or the new one."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 _default_cache = BasisCache()
@@ -353,11 +370,20 @@ def decompose_in_hauptmodul(series: QSeries, psi: QSeries,
     powers = [QSeries.one(psi.prec - psi.valuation)]
     for _ in range(depth):
         powers.append(powers[-1] * psi)
-    coeffs = [0] * (depth + 1)
-    residual = series
-    for i in range(depth, -1, -1):
-        c = residual.coeff(-i)
+    coeffs, residual = _peel(series, powers, 0)
+    return tuple(coeffs), residual
+
+
+def _peel(series: QSeries, powers: list[QSeries], offset: int) -> tuple[list, QSeries]:
+    """Clear q^-(offset+i) from ``series`` with c * powers[i], top power first.
+
+    powers[i] must lead with q^-(offset+i) at coefficient 1.  Returns the
+    multipliers c by i and the residual.
+    """
+    coeffs = [0] * len(powers)
+    for i in range(len(powers) - 1, -1, -1):
+        c = series.coeff(-(offset + i))
         if c:
             coeffs[i] = c
-            residual = residual - powers[i].scalar_mul(c)
-    return tuple(coeffs), residual
+            series = series - powers[i].scalar_mul(c)
+    return coeffs, series

@@ -9,13 +9,12 @@ is not an integer can still be inspected and reported instead of crashing.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import FractionalValuation, InvalidCusp, MixedWeight
-from .series import DEFAULT_PREC, QSeries
+from .series import DEFAULT_PREC, QSeries, deepest
 
 
 def euler_product(prec: int) -> QSeries:
@@ -61,8 +60,7 @@ def eisenstein_weight2(t: int, prec: int) -> QSeries:
     return QSeries.from_terms(terms, prec)
 
 
-_unit_cache: dict[int, QSeries] = {}
-_unit_lock = threading.Lock()
+_units: dict[int, QSeries] = {}
 
 
 def eta_unit(delta: int, prec: int) -> QSeries:
@@ -71,12 +69,7 @@ def eta_unit(delta: int, prec: int) -> QSeries:
         raise ValueError("eta dilation must be >= 1")
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    with _unit_lock:
-        have = _unit_cache.get(delta)
-        if have is None or have.prec < prec:
-            have = euler_product(-(-prec // delta)).dilated(delta)
-            _unit_cache[delta] = have
-    return have.truncated(prec)
+    return deepest(_units, delta, prec, lambda p: euler_product(-(-p // delta)).dilated(delta))
 
 
 @dataclass(frozen=True)

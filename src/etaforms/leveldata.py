@@ -23,7 +23,7 @@ from .eta import (
     ligozat_order,
     parse_eta_quotient,
 )
-from .series import QSeries
+from .series import QSeries, deepest
 
 SUPPORTED_LEVELS = (6, 10, 12, 18)
 
@@ -75,10 +75,8 @@ class LevelData:
     weight_forms: dict[int, WeightForm]
     cusp_poly: tuple[int, ...]          # ascending integer coefficients
     aux: dict[int, AuxData] = field(default_factory=dict)
-
-    def __post_init__(self):
-        # per-instance expansion cache so overridden variants never mix
-        object.__setattr__(self, "_series_cache", {})
+    # deepest expansion of each kind, per instance so overridden variants never mix
+    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- deduced structure -------------------------------------------------
 
@@ -101,31 +99,21 @@ class LevelData:
         """Maximal vanishing order for forms also vanishing at the other cusps."""
         return self.n0(k) - (len(self.cusp_poly) - 1)
 
-    # -- expansions (cached per precision) ---------------------------------
+    # -- expansions (the deepest of each kind, truncated) -------------------
 
     def hauptmodul_series(self, prec: int) -> QSeries:
-        return self._cached(("haupt", prec),
-                            lambda: self.hauptmodul_quotient.series(prec) + self.hauptmodul_shift)
+        return deepest(self._expansions, "haupt", prec,
+                       lambda p: self.hauptmodul_quotient.series(p) + self.hauptmodul_shift)
 
     def weight_form_series(self, weight: int, prec: int) -> QSeries:
-        form = self.weight_forms[weight]
-        return self._cached(("wform", weight, prec), lambda: form.combination.series(prec))
+        return deepest(self._expansions, ("wform", weight), prec,
+                       self.weight_forms[weight].combination.series)
 
     def aux_alt_series(self, p: int, prec: int) -> QSeries:
-        return self._cached(("alt", p, prec), lambda: self.aux[p].alt.series(prec))
+        return deepest(self._expansions, ("alt", p), prec, self.aux[p].alt.series)
 
     def aux_cusp_series(self, p: int, prec: int) -> QSeries:
-        return self._cached(("cusp", p, prec), lambda: self.aux[p].cusp.series(prec))
-
-    def _cached(self, key: tuple, compute) -> QSeries:
-        with _series_lock:
-            hit = self._series_cache.get(key)
-        if hit is not None:
-            return hit
-        value = compute()
-        with _series_lock:
-            self._series_cache.setdefault(key, value)
-        return value
+        return deepest(self._expansions, ("cusp", p), prec, self.aux[p].cusp.series)
 
 
 def _phi(n: int) -> int:
@@ -140,9 +128,6 @@ def _phi(n: int) -> int:
     if n > 1:
         out -= out // n
     return out
-
-
-_series_lock = threading.Lock()
 
 
 # ----------------------------------------------------------------------

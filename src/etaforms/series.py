@@ -11,6 +11,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -315,6 +316,26 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries({self.pretty(max_terms=6)} + O(q^{self.prec}))"
+
+
+_deepest_lock = threading.Lock()
+
+
+def deepest(memo: dict, key, prec: int, compute) -> QSeries:
+    """``compute(prec)``, served from the deepest series ``memo`` holds for ``key``.
+
+    Exact coefficients do not depend on the precision they were computed at,
+    so the stored series, truncated, answers every shallower request.
+    ``compute`` runs outside the lock, so it may call ``deepest`` itself.
+    """
+    with _deepest_lock:
+        have = memo.get(key)
+    if have is None or have.prec < prec:
+        have = compute(prec)
+        with _deepest_lock:
+            if key not in memo or memo[key].prec < have.prec:
+                memo[key] = have
+    return have.truncated(prec)
 
 
 def _convolve(a, b, out_len):

@@ -1,5 +1,7 @@
 """Tests for canonical basis construction."""
 
+import json
+import os
 import random
 from itertools import zip_longest
 
@@ -18,6 +20,7 @@ from etaforms.errors import IndexBelowRange, InsufficientPrecision
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, get_level
 from etaforms.series import QSeries
+from etaforms.verify import theta_check
 
 
 @pytest.fixture()
@@ -241,6 +244,60 @@ class TestCachePersistence:
         shallow = reloaded.element(6, 0, "M", 1, prec=40)
         assert [shallow.coeff(t) for t in (-1, 1, 2)] == [1, 6, 4]
 
+    def test_warm_hit_saves_nothing(self, tmp_path):
+        disk = BasisCache(directory=str(tmp_path))
+        disk.element(6, 0, "M", 4, prec=32)
+        assert disk.save() == [str(tmp_path / "basis_N6_k0_M.json")]
+        assert disk.save() == []
+        reloaded = BasisCache(directory=str(tmp_path))
+        reloaded.element(6, 0, "M", 4, prec=32)
+        assert reloaded.save() == []
+        reloaded.element(6, 0, "M", 3, prec=32)
+        assert reloaded.save() == [str(tmp_path / "basis_N6_k0_M.json")]
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        disk = BasisCache(directory=str(tmp_path))
+        disk.element(6, 0, "M", 4, prec=32)
+        disk.save()
+        before = (tmp_path / "basis_N6_k0_M.json").read_bytes()
+        disk.element(6, 0, "M", 3, prec=32)
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"elements":')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            disk.save()
+        assert (tmp_path / "basis_N6_k0_M.json").read_bytes() == before
+        assert os.listdir(tmp_path) == ["basis_N6_k0_M.json"]
+
+    def test_unreadable_file_is_a_miss(self, tmp_path, capsys):
+        disk = BasisCache(directory=str(tmp_path))
+        want = disk.element(6, 0, "M", 4, prec=32)
+        [path] = disk.save()
+        with open(path, "r+b") as fh:
+            fh.truncate(200)
+        reloaded = BasisCache(directory=str(tmp_path))
+        got = reloaded.element(6, 0, "M", 4, prec=32)
+        assert got.expansion.coeffs == want.expansion.coeffs
+        assert got.haupt_poly == want.haupt_poly
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unreadable cache file" in err
+        assert reloaded.save() == [path]
+        with open(path) as fh:
+            assert json.load(fh)["elements"]["4"]["poly"] == [str(c) for c in want.haupt_poly]
+
+    @pytest.mark.parametrize("doc", ['[]', '{"format_version": 1}',
+                                     '{"format_version": 1, "prec": 32, "max_index": 4, '
+                                     '"elements": {"4": {"coeffs": ["x"], "poly": []}}}'])
+    def test_schema_errors_are_misses(self, tmp_path, capsys, doc):
+        (tmp_path / "basis_N6_k0_M.json").write_text(doc)
+        got = BasisCache(directory=str(tmp_path)).element(6, 0, "M", 4, prec=32)
+        want = BasisCache().element(6, 0, "M", 4, prec=32)
+        assert got.expansion.coeffs == want.expansion.coeffs
+        assert "unreadable cache file" in capsys.readouterr().err
+
     def test_save_is_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -250,6 +307,22 @@ class TestCachePersistence:
         f1 = (d1 / "basis_N6_k0_M.json").read_bytes()
         f2 = (d2 / "basis_N6_k0_M.json").read_bytes()
         assert f1 == f2
+
+
+class TestPowerTable:
+    def test_dropped_once_every_index_above_the_first_is_built(self):
+        # the theta check reads indices 1..20 of the weight-0 family, never 0
+        cache = BasisCache()
+        theta_check(10, m_max=20, window=40, cache=cache)
+        fam = cache._families[(10, 0, "M")]
+        assert len(fam.elements) == 20 and 0 not in fam.elements
+        assert fam._powers == []
+        first = fam.element(0)
+        assert fam._powers == []
+        want = BasisCache().family(10, 0, "M", min_index=fam.max_index,
+                                   min_prec=fam.prec).element(0)
+        assert first.expansion.coeffs == want.expansion.coeffs
+        assert first.expansion.prec == want.expansion.prec
 
 
 class TestDeepElements:

@@ -173,6 +173,21 @@ class TestValidateAndCache:
         assert code == 0
         assert cold == warm
 
+    def test_truncated_cache_file_is_recomputed(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        argv = ["expand", "--level", "6", "--weight", "0", "--m", "2", "--terms", "5"]
+        code, _, _ = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0
+        path = cache_dir / "basis_N6_k0_M.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[:200])
+        code, warm, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0
+        assert err.startswith("warning: ignoring unreadable cache file") and err.count("\n") == 1
+        code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+        assert path.read_bytes() == whole
 
     def test_restored_family_serves_a_new_prime(self, capsys, tmp_path):
         # the p=2 scan reads families that two p=3 scans left on disk

@@ -8,6 +8,7 @@ from etaforms.errors import FractionalValuation, InvalidCusp, MixedWeight
 from etaforms.eta import (
     EtaCombination,
     EtaQuotient,
+    eta_unit,
     euler_product,
     format_eta_quotient,
     ligozat_order,
@@ -41,6 +42,17 @@ class TestEulerProduct:
 
     def test_matches_direct_product_oracle(self):
         assert euler_product(64).agrees_with(euler_oracle(64))
+
+
+class TestEtaUnit:
+    @pytest.mark.parametrize("delta", (1, 2, 3, 5, 18))
+    def test_shallow_request_equals_direct_expansion(self, delta):
+        eta_unit(delta, 300)
+        for prec in (1, 7, 40, 299, 300):
+            got = eta_unit(delta, prec)
+            want = euler_product(-(-prec // delta)).dilated(delta).truncated(prec)
+            assert (got.valuation, got.coeffs, got.prec) == \
+                (want.valuation, want.coeffs, want.prec)
 
 
 class TestExpandQuotient:

@@ -1,7 +1,11 @@
 """Tests for the per-level constant registry."""
 
+import dataclasses
+from functools import partial
+
 import pytest
 
+from etaforms.basis import BasisCache
 from etaforms.errors import FractionalValuation, UnsupportedLevel
 from etaforms.eta import ligozat_order
 from etaforms.leveldata import (
@@ -11,6 +15,7 @@ from etaforms.leveldata import (
     uncorrected_weight_form,
     validate_level,
 )
+from etaforms.verify import duality_check, theta_check
 
 
 class TestGetLevel:
@@ -150,3 +155,39 @@ class TestValidation:
         assert data["ok"] is True
         assert any("hauptmodul" in c["name"] for c in data["checks"])
         assert "pass" in report.render_text()
+
+
+def expansion_kinds(data):
+    """(kind, cached request, direct expansion) for every expansion kind of a level."""
+    yield ("haupt", data.hauptmodul_series,
+           lambda p: data.hauptmodul_quotient.series(p) + data.hauptmodul_shift)
+    for w, form in sorted(data.weight_forms.items()):
+        yield ("wform", w), partial(data.weight_form_series, w), form.combination.series
+    for p, aux in sorted(data.aux.items()):
+        yield ("alt", p), partial(data.aux_alt_series, p), aux.alt.series
+        yield ("cusp", p), partial(data.aux_cusp_series, p), aux.cusp.series
+
+
+class TestExpansionCache:
+    def test_one_series_per_kind_after_checks(self):
+        cache = BasisCache()
+        duality_check(6, 0, 12, cache=cache)
+        theta_check(6, 12, cache=cache)
+        data = get_level(6)
+        kinds = {kind for kind, _, _ in expansion_kinds(data)}
+        assert "haupt" in data._expansions
+        assert set(data._expansions) <= kinds
+
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_shallow_request_equals_direct_expansion(self, n):
+        # a fresh instance, so the deep request below is the one that is kept
+        data = dataclasses.replace(get_level(n))
+        assert data._expansions == {}
+        for kind, cached, direct in expansion_kinds(data):
+            deep = cached(90)
+            for prec in (2, 3, 17, 64, 90):
+                got, want = cached(prec), direct(prec)
+                assert (got.valuation, got.coeffs, got.prec) == \
+                    (want.valuation, want.coeffs, want.prec), (kind, prec)
+            assert data._expansions[kind] is deep
+        assert len(data._expansions) == len(list(expansion_kinds(data)))

@@ -1,12 +1,14 @@
 """Tests for the exact Laurent-series kernel."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from etaforms.errors import PrecisionExceeded, ZeroLeadingTerm
-from etaforms.series import QSeries, normalize_coeff
+from etaforms.series import QSeries, deepest, normalize_coeff
 
 
 def naive_product(a: QSeries, b: QSeries) -> QSeries:
@@ -230,3 +232,48 @@ class TestReindexing:
         assert PSI6_HEAD.pretty() == "q^-1 + 6q + 4q^2 - 3q^3"
         assert QSeries.zero(5).pretty() == "0"
         assert QSeries.from_terms({0: -2, 1: 1}, 9).pretty() == "-2 + q"
+
+
+class TestDeepest:
+    @staticmethod
+    def squares(prec):
+        return QSeries(-2, [n * n for n in range(-2, prec)], prec)
+
+    def test_serves_truncations_of_the_deepest(self):
+        memo, computed = {}, []
+
+        def compute(prec):
+            computed.append(prec)
+            return self.squares(prec)
+
+        for prec in (10, 4, 30, 10, 2, 30):
+            got = deepest(memo, "k", prec, compute)
+            want = self.squares(prec)
+            assert (got.valuation, got.coeffs, got.prec) == (want.valuation, want.coeffs, want.prec)
+        assert computed == [10, 30]
+        assert memo["k"].prec == 30
+
+    def test_concurrent_requests_keep_the_deepest(self):
+        memo, errors = {}, []
+        precs = [random.Random(i).randint(1, 200) for i in range(64)]
+
+        def worker(prec):
+            try:
+                got = deepest(memo, "k", prec, self.squares)
+                assert got.coeffs == self.squares(prec).coeffs and got.prec == prec
+            except Exception as err:            # noqa: BLE001 - reported below
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(p,)) for p in precs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert memo["k"].prec == max(precs)
