@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
+from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation, PrecisionExceeded
 from .leveldata import LevelData, get_level
 from .series import QSeries, normalize_coeff
 
@@ -191,9 +191,10 @@ class BasisCache:
     """Memoized families with optional JSON persistence.
 
     Writes are serialized; completed elements are immutable and safe to read
-    concurrently.  Families grow geometrically in index and exactly in
-    precision, and a regrown family reproduces all previously served
-    coefficients.
+    concurrently.  Families grow exactly in precision and geometrically in
+    index; the index doubles only when a request exceeds it, so a regrow for
+    precision alone keeps the index envelope.  A regrown family reproduces all
+    previously served coefficients.
     """
 
     def __init__(self, directory: str | None = None):
@@ -213,11 +214,14 @@ class BasisCache:
                 fam = self._load(data, k, space)
                 if fam is not None:
                     self._families[key] = fam
-            if fam is None or fam.prec < min_prec or fam.max_index < min_index:
-                grown_index = min_index if fam is None else max(min_index, 2 * fam.max_index)
-                grown_prec = min_prec if fam is None else max(min_prec, fam.prec)
-                fam = _Family(data, k, space, grown_prec, grown_index)
-                self._families[key] = fam
+            if fam is None:
+                fam = self._families[key] = _Family(data, k, space, min_prec, min_index)
+            elif fam.prec < min_prec or fam.max_index < min_index:
+                grown_index = fam.max_index
+                if grown_index < min_index:
+                    grown_index = max(min_index, 2 * grown_index)
+                fam = self._families[key] = _Family(
+                    data, k, space, max(min_prec, fam.prec), grown_index)
             return fam
 
     def element(self, n: int, k: int, space: str, m: int, prec: int | None = None) -> BasisElement:
@@ -378,12 +382,23 @@ def _peel(series: QSeries, powers: list[QSeries], offset: int) -> tuple[list, QS
     """Clear q^-(offset+i) from ``series`` with c * powers[i], top power first.
 
     powers[i] must lead with q^-(offset+i) at coefficient 1.  Returns the
-    multipliers c by i and the residual.
+    multipliers c by i and the residual, known to the least precision among
+    ``series`` and the powers used.  The subtractions accumulate in one list.
     """
     coeffs = [0] * len(powers)
+    val, acc, prec = series.valuation, list(series.coeffs), series.prec
     for i in range(len(powers) - 1, -1, -1):
-        c = series.coeff(-(offset + i))
+        e = -(offset + i)
+        if e >= prec:
+            raise PrecisionExceeded(e, prec)
+        c = acc[e - val] if 0 <= e - val < len(acc) else 0
         if c:
-            coeffs[i] = c
-            series = series - powers[i].scalar_mul(c)
-    return coeffs, series
+            c = coeffs[i] = normalize_coeff(c)
+            p = powers[i]
+            prec = min(prec, p.prec)
+            lo = p.valuation - val
+            hi = min(lo + len(p.coeffs), prec - val)
+            acc.extend([0] * (hi - len(acc)))
+            del acc[prec - val:]
+            acc[lo:hi] = [x - c * y for x, y in zip(acc[lo:hi], p.coeffs)]
+    return coeffs, QSeries(val, acc, prec)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .errors import PrecisionExceeded, ZeroLeadingTerm
@@ -338,29 +339,58 @@ def deepest(memo: dict, key, prec: int, compute) -> QSeries:
     return have.truncated(prec)
 
 
+def _progression(c) -> tuple[int | None, int]:
+    """(index of the first nonzero entry, gcd of the gaps between nonzero entries).
+
+    The first index is None for an all-zero ``c`` and the step is 0 when ``c``
+    has at most one nonzero entry.  The scan stops once the step is 1, so a
+    dense operand costs O(1).
+    """
+    first = None
+    step = 0
+    for i, x in enumerate(c):
+        if x:
+            if first is None:
+                first = i
+            else:
+                step = gcd(step, i - first)
+                if step == 1:
+                    break
+    return first, step
+
+
 def _convolve(a, b, out_len):
     """Truncated schoolbook Cauchy product of two coefficient tuples.
 
-    The outer loop runs over the operand with fewer nonzero entries so that
-    sparse series (levels 12 and 18 carry arithmetic-progression supports)
-    multiply proportionally faster.  Grouping of the exact additions does not
-    affect results.
+    Levels 12 and 18 carry arithmetic-progression supports: every nonzero
+    entry of an operand sits at its first nonzero index plus a multiple of its
+    step.  The product of two such operands is supported on the progression
+    with the gcd d of the two steps, so the loop runs on the slices ``a[fa::d]``
+    and ``b[fb::d]`` and scatters into ``out[fa+fb::d]``; only products with a
+    zero factor are skipped.  The outer loop runs over the operand with fewer
+    nonzero entries.  Grouping of the exact additions does not affect results.
     """
-    if out_len <= 0:
-        return []
-    nz_a = sum(1 for c in a if c)
-    nz_b = sum(1 for c in b if c)
-    if nz_b < nz_a:
+    out = [0] * max(out_len, 0)
+    fa, sa = _progression(a)
+    fb, sb = _progression(b)
+    if fa is None or fb is None or fa + fb >= out_len:
+        return out
+    d = gcd(sa, sb) or 1        # two monomials: any step will do
+    a = a[fa::d]
+    b = b[fb::d]
+    n = -(-(out_len - fa - fb) // d)
+    if sum(1 for c in b if c) < sum(1 for c in a if c):
         a, b = b, a
-    out = [0] * out_len
+    sub = [0] * n
     len_b = len(b)
     for i, ai in enumerate(a):
-        if i >= out_len:
+        if i >= n:
             break
         if not ai:
             continue
-        top = out_len - i
+        top = n - i
         bs = b if top >= len_b else b[:top]
         j = i + len(bs)
-        out[i:j] = [x + ai * y for x, y in zip(out[i:j], bs)]
+        sub[i:j] = [x + ai * y for x, y in zip(sub[i:j], bs)]
+    out[fa + fb::d] = sub
     return out

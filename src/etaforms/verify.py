@@ -150,12 +150,12 @@ def _pairing_constant_term(f: QSeries, g: QSeries):
         raise InsufficientPrecision(
             "product constant term not determined",
             needed=max(t_hi + 1, -f.valuation + 1))
-    total = 0
-    for t in range(f.valuation, t_hi + 1):
-        ft = f.coeff(t)
-        if ft:
-            total += ft * g.coeff(-t)
-    return total
+    # f's coefficient of q^t, at index i = t - f.valuation, pairs with g's of
+    # q^-t, at index n - 1 - i
+    n = max(t_hi + 1 - f.valuation, 0)
+    fc = f.coeffs[:n]
+    gc = g.coeffs[:n]
+    return sum(x * y for x, y in zip(fc[n - len(gc):], reversed(gc)) if x)
 
 
 # ----------------------------------------------------------------------

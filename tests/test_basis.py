@@ -3,12 +3,14 @@
 import json
 import os
 import random
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
 
 from etaforms.basis import (
     BasisCache,
+    _peel,
     a_coeff,
     b_coeff,
     decompose_in_hauptmodul,
@@ -16,7 +18,7 @@ from etaforms.basis import (
     first_element,
     g_basis,
 )
-from etaforms.errors import IndexBelowRange, InsufficientPrecision
+from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExceeded
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, get_level
 from etaforms.series import QSeries
@@ -54,6 +56,17 @@ def ladder(n, k, space, m_top, prec):
                 poly = tuple(a - c * b for a, b in zip_longest(poly, lower_poly, fillvalue=0))
         out[m] = (series, poly)
     return out
+
+
+def reference_peel(series, powers, offset):
+    """One QSeries subtraction per nonzero multiplier, top power first."""
+    coeffs = [0] * len(powers)
+    for i in range(len(powers) - 1, -1, -1):
+        c = series.coeff(-(offset + i))
+        if c:
+            coeffs[i] = c
+            series = series - powers[i].scalar_mul(c)
+    return coeffs, series
 
 
 class TestFirstElement:
@@ -203,6 +216,43 @@ class TestDecompose:
             decompose_in_hauptmodul(deep_pole, psi, min_window=4)
 
 
+class TestPeel:
+    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (6, 2, "S"), (18, 0, "M"), (18, 2, "M")])
+    def test_fused_peel_matches_reference(self, n, k, space):
+        fam = BasisCache().family(n, k, space, min_index=24, min_prec=40)
+        i_max = fam.max_index - fam.m0
+        powers = fam._power_table(i_max)
+        for i in range(i_max + 1):
+            got = _peel(powers[i], powers[:i], fam.m0)
+            want = reference_peel(powers[i], powers[:i], fam.m0)
+            assert got[0] == want[0]
+            assert [type(c) for c in got[0]] == [type(c) for c in want[0]]
+            assert got[1].valuation == want[1].valuation
+            assert got[1].coeffs == want[1].coeffs
+            assert got[1].prec == want[1].prec
+
+    def test_fused_peel_matches_reference_on_rationals(self):
+        psi = get_level(6).hauptmodul_series(30)
+        powers = [QSeries.one(31)]
+        for _ in range(5):
+            powers.append(powers[-1] * psi)
+        series = QSeries(-5, [Fraction(3, 2), 0, 4, Fraction(-1, 3), 0, 2, 7], 12)
+        got = _peel(series, powers, 0)
+        want = reference_peel(series, powers, 0)
+        assert got[0] == want[0]
+        assert (got[1].valuation, got[1].coeffs, got[1].prec) == \
+            (want[1].valuation, want[1].coeffs, want[1].prec)
+
+    def test_pole_at_precision_raises(self):
+        psi = get_level(6).hauptmodul_series(4)
+        powers = [QSeries.one(5)]
+        for _ in range(8):
+            powers.append(powers[-1] * psi)
+        for peel in (_peel, reference_peel):
+            with pytest.raises(PrecisionExceeded):
+                peel(QSeries.monomial(1, -8, 2), powers, 0)
+
+
 class TestCachePersistence:
     def test_round_trip_bit_identical(self, tmp_path, cache):
         disk = BasisCache(directory=str(tmp_path))
@@ -323,6 +373,21 @@ class TestPowerTable:
                                    min_prec=fam.prec).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
         assert first.expansion.prec == want.expansion.prec
+
+
+class TestEnvelope:
+    def test_precision_regrow_keeps_the_index_envelope(self):
+        cache = BasisCache()
+        cache.family(6, 0, "M", min_index=30, min_prec=65)
+        fam = cache.family(6, 0, "M", min_index=12, min_prec=66)
+        assert fam.prec == 66
+        assert fam.max_index == 30
+
+    def test_index_shortfall_doubles(self):
+        cache = BasisCache()
+        cache.family(6, 0, "M", min_index=30, min_prec=65)
+        assert cache.family(6, 0, "M", min_index=31, min_prec=65).max_index == 60
+        assert cache.family(6, 0, "M", min_index=200, min_prec=65).max_index == 200
 
 
 class TestDeepElements:

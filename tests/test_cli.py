@@ -1,11 +1,13 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import etaforms
 from etaforms.cli import main
 
 
@@ -204,9 +206,12 @@ class TestValidateAndCache:
 
 
 def test_console_entry_point():
+    # the child imports etaforms from where this process found it
+    src = os.path.dirname(os.path.dirname(etaforms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "etaforms.cli", "expand", "--level", "6",
          "--weight", "0", "--m", "1", "--terms", "4", "--no-cache-dir"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.strip() == "q^-1 + 6q + 4q^2 - 3q^3"

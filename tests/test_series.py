@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from etaforms.errors import PrecisionExceeded, ZeroLeadingTerm
-from etaforms.series import QSeries, deepest, normalize_coeff
+from etaforms.leveldata import get_level
+from etaforms.series import QSeries, _convolve, deepest, normalize_coeff
 
 
 def naive_product(a: QSeries, b: QSeries) -> QSeries:
@@ -113,6 +114,63 @@ class TestMul:
             assert fast.valuation == slow.valuation
             assert fast.prec == slow.prec
             assert fast.coeffs == slow.coeffs
+
+
+def naive_convolve(a, b, out_len):
+    """Reference for the kernel: every product, zero factors included."""
+    out = [0] * max(out_len, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < out_len:
+                out[i + j] += x * y
+    return out
+
+
+def progression_coeffs(rng, length, step, offset, rational=False):
+    out = [0] * length
+    for i in range(offset, length, step):
+        if rng.random() < 0.8:
+            out[i] = rng.randint(-9, 9)
+            if rational and rng.random() < 0.3:
+                out[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return tuple(out)
+
+
+class TestConvolveKernel:
+    def test_matches_double_loop_on_progressions(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            a = progression_coeffs(rng, rng.randint(0, 40), rng.choice([1, 2, 3, 5]),
+                                   rng.randint(0, 6), rational=rng.random() < 0.3)
+            b = progression_coeffs(rng, rng.randint(0, 40), rng.choice([1, 2, 3, 5]),
+                                   rng.randint(0, 6), rational=rng.random() < 0.3)
+            out_len = rng.randint(-3, 85)
+            assert _convolve(a, b, out_len) == naive_convolve(a, b, out_len)
+
+    @pytest.mark.parametrize("a, b, out_len", [
+        ((0, 0, 3), (0, 5), 6),                 # two monomials
+        ((0, 0, 3), (0, 5), 3),                 # out_len == fa + fb
+        ((0, 0, 3), (0, 5), 2),                 # out_len below fa + fb
+        ((0, 0, 0), (1, 2, 3), 5),              # all-zero operand
+        ((), (1, 2), 4),                        # empty operand
+        ((1, 0, 2), (1, 2), 0),
+        ((1, 0, 2), (1, 2), -4),
+        ((0, 1, 0, 0, 0, 0, 2), (0, 0, 3, 0, 0, 0, 0, 0, 4), 20),   # steps 5 and 6
+        ((Fraction(1, 2), 0, Fraction(3, 4)), (0, Fraction(-2, 3), 0, 1), 7),
+    ])
+    def test_edge_cases(self, a, b, out_len):
+        assert _convolve(a, b, out_len) == naive_convolve(a, b, out_len)
+
+    def test_level18_powers_match_dense_reference(self):
+        # level 18's psi lives on exponents = 2 mod 3, so its powers do too
+        psi = get_level(18).hauptmodul_series(240)
+        power = psi
+        for _ in range(4):
+            dense = naive_product(power, psi)
+            power = power * psi
+            assert power.valuation == dense.valuation
+            assert power.prec == dense.prec
+            assert power.coeffs == dense.coeffs
 
 
 class TestReciprocal:
