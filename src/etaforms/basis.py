@@ -12,16 +12,22 @@ psi^i for the element's degree i and clear its coefficients from q^(1-m)
 through the gap against the lower powers, recording P along the way.  The
 power table is built on first use.
 
-Elements are memoized per (level, weight, space) family; a family is rebuilt
-from scratch whenever a request exceeds its precision or index envelope, and
-rebuilt values extend previously served ones exactly.  A family restored from
-disk holds the saved elements and computes any other index itself.
+Elements are memoized per (level, weight, space) family, and one number, the
+family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
+so element m is known to O(q^(reach + 8 - m)).  Index and precision trade
+one for one, so index I at precision P needs reach P + max(I, m0), where m0
+= -n0(k) or -n1(k) is the first element's pole order.  A family that falls
+short is rebuilt from scratch at the larger of that need and the reach that
+doubles the deepest index it served at P; rebuilt values extend previously
+served ones exactly.  A family restored from disk holds the saved elements
+and computes any other index itself.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import sys
 import threading
@@ -35,7 +41,7 @@ from .series import QSeries, normalize_coeff
 M_SPACE = "M"
 S_SPACE = "S"
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -76,19 +82,27 @@ def _poly_normal(p) -> tuple:
     return tuple(p)
 
 
-class _Family:
-    """All computed elements of one (level, weight, space) at one envelope."""
+def _gap(data: LevelData, k: int, space: str) -> int:
+    """Each element of the space is q^-m plus terms beyond q^gap: n0(k) for M, n1(k) for S."""
+    return data.n0(k) if space == M_SPACE else data.n1(k)
 
-    def __init__(self, data: LevelData, k: int, space: str, prec: int, max_index: int):
-        if k % 2:
-            raise ValueError(f"weight must be even, got {k}")
+
+class _Family:
+    """All computed elements of one (level, weight, space) at one reach.
+
+    Element m is known to O(q^(reach + 8 - m)).  ``top`` is the highest index
+    a request asked for; once every index from m0+1 to ``top`` is built, the
+    power table is dropped.
+    """
+
+    def __init__(self, data: LevelData, k: int, space: str, reach: int):
         self.data = data
         self.k = k
         self.space = space
-        self.gap = data.n0(k) if space == M_SPACE else data.n1(k)
+        self.gap = _gap(data, k, space)
         self.m0 = -self.gap
-        self.prec = prec
-        self.max_index = max(max_index, self.m0)
+        self.reach = reach
+        self.top = self.m0
         self.elements: dict[int, BasisElement] = {}
         self._powers: list[QSeries] = []     # first * psi^i, by i
         self.saved: int | None = None        # element count of its cache file, if any
@@ -101,7 +115,7 @@ class _Family:
         got = self.elements.get(m)
         if got is None:
             got = self.elements[m] = self._eliminate(m)
-            if all(i in self.elements for i in range(self.m0 + 1, self.max_index + 1)):
+            if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
                 # every index above m0 is built; element m0 is powers[0], so
                 # a later request for it costs one first-element expansion
                 self._powers = []
@@ -130,15 +144,12 @@ class _Family:
     def _power_table(self, i_top: int) -> list[QSeries]:
         powers = self._powers
         if len(powers) <= i_top:
-            depth = self.max_index - self.m0
-            # each hauptmodul multiplication yields prec = psi.prec - (pole
-            # order of the partner), so psi must cover the deepest pole reached
-            reach = max(depth, self.max_index - 1, 0)
-            pad = 8
-            psi = self.data.hauptmodul_series(self.prec + reach + pad)
+            # first * psi^i is known to min(first.prec - i, psi.prec - m0 + 1 - i),
+            # and element m = m0 + i must reach O(q^(reach + 8 - m))
+            psi = self.data.hauptmodul_series(self.reach + 7)
             if not powers:
                 powers.append(_first_series(self.data, self.k, self.space,
-                                            self.prec + depth + pad))
+                                            self.reach + 8 - self.m0))
             while len(powers) <= i_top:
                 powers.append(powers[-1] * psi)
         return powers
@@ -191,10 +202,11 @@ class BasisCache:
     """Memoized families with optional JSON persistence.
 
     Writes are serialized; completed elements are immutable and safe to read
-    concurrently.  Families grow exactly in precision and geometrically in
-    index; the index doubles only when a request exceeds it, so a regrow for
-    precision alone keeps the index envelope.  A regrown family reproduces all
-    previously served coefficients.
+    concurrently.  A family that falls short of a request's reach is rebuilt
+    at the larger of the reach needed and the one that doubles the deepest
+    index it served at the requested precision, so walking up one index at a
+    time costs O(log m) rebuilds.  A rebuilt family reproduces all previously
+    served coefficients.
     """
 
     def __init__(self, directory: str | None = None):
@@ -208,35 +220,23 @@ class BasisCache:
                min_prec: int = 64) -> _Family:
         data = get_level(n)
         key = (n, k, space)
+        need = min_prec + max(min_index, -_gap(data, k, space))
         with self._lock:
             fam = self._families.get(key)
             if fam is None and self.directory:
                 fam = self._load(data, k, space)
-                if fam is not None:
-                    self._families[key] = fam
-            if fam is None:
-                fam = self._families[key] = _Family(data, k, space, min_prec, min_index)
-            elif fam.prec < min_prec or fam.max_index < min_index:
-                grown_index = fam.max_index
-                if grown_index < min_index:
-                    grown_index = max(min_index, 2 * grown_index)
-                fam = self._families[key] = _Family(
-                    data, k, space, max(min_prec, fam.prec), grown_index)
+            if fam is None or fam.reach < need:
+                doubled = need if fam is None else 2 * fam.reach - min_prec
+                fam = _Family(data, k, space, max(need, doubled))
+            self._families[key] = fam
+            fam.top = max(fam.top, min_index)
             return fam
 
     def element(self, n: int, k: int, space: str, m: int, prec: int | None = None) -> BasisElement:
-        data = get_level(n)
-        gap = data.n0(k) if space == M_SPACE else data.n1(k)
         if prec is None:
-            prec = max(64, gap + 17)
+            prec = max(64, _gap(get_level(n), k, space) + 17)
         with self._lock:
-            fam = self.family(n, k, space, min_index=m, min_prec=prec)
-            elem = fam.element(m)
-            if elem.expansion.prec < prec:
-                # regrow precision and rebuild
-                fam = self.family(n, k, space, min_index=m, min_prec=prec + (m - fam.m0))
-                elem = fam.element(m)
-            return elem
+            return self.family(n, k, space, min_index=m, min_prec=prec).element(m)
 
     def clear(self) -> None:
         with self._lock:
@@ -262,8 +262,7 @@ class BasisCache:
                     "level": n,
                     "weight": k,
                     "space": space,
-                    "prec": fam.prec,
-                    "max_index": fam.max_index,
+                    "reach": fam.reach,
                     "elements": {
                         str(m): {**e.expansion.to_json(), "poly": [str(c) for c in e.haupt_poly]}
                         for m, e in sorted(fam.elements.items())
@@ -285,7 +284,7 @@ class BasisCache:
                 doc = json.load(fh)
             if doc.get("format_version") != CACHE_FORMAT_VERSION:
                 return None
-            fam = _Family(data, k, space, doc["prec"], doc["max_index"])
+            fam = _Family(data, k, space, operator.index(doc["reach"]))
             for m_text, e in doc["elements"].items():
                 m = int(m_text)
                 fam.elements[m] = BasisElement(
@@ -327,8 +326,7 @@ def default_cache() -> BasisCache:
 
 def first_element(n: int, k: int, space: str = M_SPACE, prec: int | None = None,
                   cache: BasisCache | None = None) -> BasisElement:
-    data = get_level(n)
-    m0 = -(data.n0(k) if space == M_SPACE else data.n1(k))
+    m0 = -_gap(get_level(n), k, space)
     return (cache or _default_cache).element(n, k, space, m0, prec)
 
 

@@ -8,7 +8,9 @@ from itertools import zip_longest
 
 import pytest
 
+from etaforms import basis
 from etaforms.basis import (
+    CACHE_FORMAT_VERSION,
     BasisCache,
     _peel,
     a_coeff,
@@ -220,7 +222,7 @@ class TestPeel:
     @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (6, 2, "S"), (18, 0, "M"), (18, 2, "M")])
     def test_fused_peel_matches_reference(self, n, k, space):
         fam = BasisCache().family(n, k, space, min_index=24, min_prec=40)
-        i_max = fam.max_index - fam.m0
+        i_max = fam.top - fam.m0
         powers = fam._power_table(i_max)
         for i in range(i_max + 1):
             got = _peel(powers[i], powers[:i], fam.m0)
@@ -338,15 +340,39 @@ class TestCachePersistence:
         with open(path) as fh:
             assert json.load(fh)["elements"]["4"]["poly"] == [str(c) for c in want.haupt_poly]
 
-    @pytest.mark.parametrize("doc", ['[]', '{"format_version": 1}',
-                                     '{"format_version": 1, "prec": 32, "max_index": 4, '
-                                     '"elements": {"4": {"coeffs": ["x"], "poly": []}}}'])
+    @pytest.mark.parametrize("doc", [
+        '[]',
+        pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}}}', id="version-only"),
+        pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}, "reach": 36, '
+                     '"elements": {"4": {"coeffs": ["x"], "poly": []}}}', id="bad-coefficient"),
+        pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}, "reach": "36", '
+                     '"elements": {}}', id="reach-not-an-int")])
     def test_schema_errors_are_misses(self, tmp_path, capsys, doc):
         (tmp_path / "basis_N6_k0_M.json").write_text(doc)
         got = BasisCache(directory=str(tmp_path)).element(6, 0, "M", 4, prec=32)
         want = BasisCache().element(6, 0, "M", 4, prec=32)
         assert got.expansion.coeffs == want.expansion.coeffs
         assert "unreadable cache file" in capsys.readouterr().err
+
+    def test_older_format_is_a_silent_miss_and_rewritten(self, tmp_path, capsys):
+        disk = BasisCache(directory=str(tmp_path))
+        want = disk.element(6, 0, "M", 4, prec=32)
+        [path] = disk.save()
+        with open(path) as fh:
+            doc = json.load(fh)
+        # the envelope of format 1, with a coefficient that must not be served
+        reach = doc.pop("reach")
+        doc.update(format_version=1, prec=reach - 4, max_index=4)
+        doc["elements"]["4"]["coeffs"][0] = "7"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        reloaded = BasisCache(directory=str(tmp_path))
+        got = reloaded.element(6, 0, "M", 4, prec=32)
+        assert got.expansion.coeffs == want.expansion.coeffs
+        assert capsys.readouterr().err == ""
+        assert reloaded.save() == [path]
+        with open(path) as fh:
+            assert json.load(fh)["format_version"] == CACHE_FORMAT_VERSION
 
     def test_save_is_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -369,25 +395,40 @@ class TestPowerTable:
         assert fam._powers == []
         first = fam.element(0)
         assert fam._powers == []
-        want = BasisCache().family(10, 0, "M", min_index=fam.max_index,
-                                   min_prec=fam.prec).element(0)
+        want = BasisCache().family(10, 0, "M", min_index=fam.top,
+                                   min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
         assert first.expansion.prec == want.expansion.prec
 
 
-class TestEnvelope:
-    def test_precision_regrow_keeps_the_index_envelope(self):
+class TestReach:
+    def test_index_and_precision_trade_one_for_one(self):
         cache = BasisCache()
-        cache.family(6, 0, "M", min_index=30, min_prec=65)
-        fam = cache.family(6, 0, "M", min_index=12, min_prec=66)
-        assert fam.prec == 66
-        assert fam.max_index == 30
+        fam = cache.family(6, 2, "S", min_index=30, min_prec=65)
+        assert cache.family(6, 2, "S", min_index=60, min_prec=35) is fam
+        assert fam.top == 60
 
-    def test_index_shortfall_doubles(self):
+    def test_walking_up_one_index_at_a_time_rebuilds_logarithmically(self, monkeypatch):
+        built = []
+
+        class Counting(basis._Family):
+            def __init__(self, data, *args):
+                built.append(data.N)
+                super().__init__(data, *args)
+
+        monkeypatch.setattr(basis, "_Family", Counting)
         cache = BasisCache()
-        cache.family(6, 0, "M", min_index=30, min_prec=65)
-        assert cache.family(6, 0, "M", min_index=31, min_prec=65).max_index == 60
-        assert cache.family(6, 0, "M", min_index=200, min_prec=65).max_index == 200
+        for n in SUPPORTED_LEVELS:
+            for m in range(1, 31):
+                b_coeff(n, 2, m, 0, cache=cache)
+        assert all(built.count(n) <= 6 for n in SUPPORTED_LEVELS), built
+
+    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (6, 2, "S"), (18, 0, "M"), (18, 2, "S")])
+    def test_fresh_element_precision(self, n, k, space):
+        index, prec = 12, 20
+        fam = BasisCache().family(n, k, space, min_index=index, min_prec=prec)
+        for m in sorted({fam.m0, fam.m0 + 1, index // 2, index}):
+            assert fam.element(m).expansion.prec == prec + index + 8 - m
 
 
 class TestDeepElements:

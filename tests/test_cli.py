@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import etaforms
+from etaforms import basis
 from etaforms.cli import main
 
 
@@ -201,6 +202,47 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *argv, "--p", "2", "--cache-dir", cache_dir)
         assert code == 0
         code, cold, _ = run_cli(capsys, *argv, "--p", "2", "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+
+    def test_restored_family_serves_a_shallower_request(self, capsys, tmp_path, monkeypatch):
+        # the duality check leaves (6, 2, S) on disk deep in index; the expand
+        # asks for one index at a higher precision, which the same reach serves
+        cache_dir = str(tmp_path / "cache")
+        code, _, _ = run_cli(capsys, "verify", "duality", "--level", "6", "--weight", "0",
+                             "--window", "15", "--cache-dir", cache_dir)
+        assert code == 0
+        built = []
+
+        class Recording(basis._Family):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(basis, "_Family", Recording)
+        argv = ["expand", "--level", "6", "--weight", "2", "--space", "S",
+                "--m", "1", "--terms", "4"]
+        code, warm, _ = run_cli(capsys, *argv, "--cache-dir", cache_dir)
+        assert code == 0
+        [fam] = built
+        assert fam.saved == len(fam.elements) and 1 in fam.elements
+        monkeypatch.undo()
+        code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+
+    @pytest.mark.xfail(strict=True, reason="theta_check counts coefficients up to the "
+                       "precision that the cached elements happen to carry")
+    def test_theta_report_independent_of_cache_history(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        theta = ["verify", "theta", "--level", "6", "--mmax", "10"]
+        code, cold, _ = run_cli(capsys, *theta, "--no-cache-dir")
+        assert code == 0
+        for space in (["--weight", "0"], ["--weight", "2", "--space", "S"]):
+            code, _, _ = run_cli(capsys, "expand", "--level", "6", *space, "--m", "12",
+                                 "--prec", "120", "--cache-dir", cache_dir)
+            assert code == 0
+        code, warm, _ = run_cli(capsys, *theta, "--cache-dir", cache_dir)
         assert code == 0
         assert warm == cold
 
