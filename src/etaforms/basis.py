@@ -9,8 +9,9 @@ first element.
 
 Every element is built one way, by power elimination: take (first element) *
 psi^i for the element's degree i and clear its coefficients from q^(1-m)
-through the gap against the lower powers, recording P along the way.  The
-power table is built on first use.
+through the gap against the lower powers, recording P along the way.  One
+routine, _extend_powers, grows every power table, built on first use, and
+one, _substitute, evaluates every polynomial at a series.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
@@ -26,6 +27,7 @@ and computes any other index itself.
 from __future__ import annotations
 
 import contextlib
+import fnmatch
 import json
 import operator
 import os
@@ -73,13 +75,6 @@ def _poly_mul(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _poly_normal(p) -> tuple:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
 
 
 def _gap(data: LevelData, k: int, space: str) -> int:
@@ -136,7 +131,7 @@ class _Family:
             poly = _poly_mul(self.data.cusp_poly, poly)
         element = BasisElement(
             level=self.data.N, weight=self.k, index=m, space=self.space,
-            expansion=series, haupt_poly=_poly_normal(poly))
+            expansion=series, haupt_poly=tuple(poly))
         if series.coeff(-m) != 1:
             raise RuntimeError(f"unit pivot failed at index {m}")
         return element
@@ -146,12 +141,10 @@ class _Family:
         if len(powers) <= i_top:
             # first * psi^i is known to min(first.prec - i, psi.prec - m0 + 1 - i),
             # and element m = m0 + i must reach O(q^(reach + 8 - m))
-            psi = self.data.hauptmodul_series(self.reach + 7)
             if not powers:
                 powers.append(_first_series(self.data, self.k, self.space,
                                             self.reach + 8 - self.m0))
-            while len(powers) <= i_top:
-                powers.append(powers[-1] * psi)
+            _extend_powers(powers, self.data.hauptmodul_series(self.reach + 7), i_top)
         return powers
 
 
@@ -176,7 +169,8 @@ def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
         # the product with the cusp polynomial loses the deeper of the two
         # pole depths, so size the hauptmodul for the worst case
         psi = data.hauptmodul_series(prec + depth + max(0, -out.valuation) + 8)
-        out = out * _polyval(data.cusp_poly, psi)
+        powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth - 1)
+        out = out * _substitute(data.cusp_poly, powers, psi.prec)
     if out.prec < prec:
         raise InsufficientPrecision(
             f"first element of (level {data.N}, weight {k}, {space}) reached only "
@@ -191,11 +185,20 @@ def _int_power(series_fn, e: int, vanishing: int, prec: int) -> QSeries:
     return series_fn(base_prec) ** e
 
 
-def _polyval(coeffs, x: QSeries) -> QSeries:
-    out = QSeries.zero(x.prec - x.valuation * (len(coeffs) - 1))
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]:
+    """Append powers[-1] * x to ``powers`` until it reaches index ``top``; return it."""
+    while len(powers) <= top:
+        powers.append(powers[-1] * x)
+    return powers
+
+
+def _substitute(coeffs, powers: list[QSeries], prec: int) -> QSeries:
+    """Sum of coeffs[i] * powers[i], known to O(q^prec) or the least precision used."""
+    total = QSeries.zero(prec)
+    for c, power in zip(coeffs, powers):
+        if c:
+            total = total + power.scalar_mul(c)
+    return total
 
 
 class BasisCache:
@@ -246,6 +249,12 @@ class BasisCache:
 
     def _path(self, n: int, k: int, space: str) -> str:
         return os.path.join(self.directory, f"basis_N{n}_k{k}_{space}.json")
+
+    def files(self) -> list[str]:
+        """Paths of the family files in the directory, sorted; other files are not the cache's."""
+        pattern = os.path.basename(self._path("*", "*", "*"))
+        names = fnmatch.filter(os.listdir(self.directory), pattern)
+        return [os.path.join(self.directory, f) for f in sorted(names)]
 
     def save(self) -> list[str]:
         """Write each family that has no file or gained elements; return the paths."""
@@ -369,9 +378,7 @@ def decompose_in_hauptmodul(series: QSeries, psi: QSeries,
         raise InsufficientPrecision(
             f"residual would be known only to O(q^{reachable})",
             needed=min_window + max(depth - 1, 0) + 1)
-    powers = [QSeries.one(psi.prec - psi.valuation)]
-    for _ in range(depth):
-        powers.append(powers[-1] * psi)
+    powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth)
     coeffs, residual = _peel(series, powers, 0)
     return tuple(coeffs), residual
 

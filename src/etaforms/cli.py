@@ -72,16 +72,18 @@ def _document(command: str, params: dict, payload: dict, summary: dict) -> dict:
     }
 
 
-def _emit(doc: dict, text: str, args) -> None:
+def _emit(doc: dict, text: str, args, csv_text: str | None = None) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        print(csv_text, end="")
     else:
         print(text)
-    if getattr(args, "report", None):
-        _write_report(args.report, doc)
+    if args.report:
+        _write_report(args.report, doc, csv_text)
 
 
-def _write_report(path: str, doc: dict, csv_text: str | None = None) -> None:
+def _write_report(path: str, doc: dict, csv_text: str | None) -> None:
     if path.endswith(".csv") and csv_text is not None:
         content = csv_text
     elif path.endswith(".csv"):
@@ -197,21 +199,13 @@ def cmd_scan(args) -> int:
         side = 3 if args.level == 18 else 2
         rows = [row for row in rows if row.r % side]
         report.details["rows_after_weak_filter"] = len(rows)
-    csv_text = rows_to_csv(rows)
     doc = _document(
         "scan", report.params,
         {"rows": [r.to_json() for r in rows]},
         {"pass": report.passed, "failures": report.details["failures"],
          "precision": report.precision},
     )
-    if args.format == "csv":
-        print(csv_text, end="")
-    elif args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
-    if args.report:
-        _write_report(args.report, doc, csv_text=csv_text)
+    _emit(doc, report.render_text(), args, rows_to_csv(rows))
     _persist(cache)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -219,26 +213,20 @@ def cmd_scan(args) -> int:
 def cmd_cache(args) -> int:
     cache = _resolve_cache(args)
     directory = cache.directory
-    if args.action == "info":
-        if not directory or not os.path.isdir(directory):
-            print(f"cache directory: {directory or '(memory only)'} (absent)")
-            return EXIT_PASS
-        files = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
-        total = sum(os.path.getsize(os.path.join(directory, f)) for f in files)
+    files = cache.files() if directory and os.path.isdir(directory) else None
+    if args.action == "info" and files is None:
+        print(f"cache directory: {directory or '(memory only)'} (absent)")
+    elif args.action == "info":
         print(f"cache directory: {directory}")
-        print(f"families: {len(files)}, total {total} bytes")
+        print(f"families: {len(files)}, total {sum(map(os.path.getsize, files))} bytes")
         for f in files:
-            print(f"  {f}")
-    elif args.action == "clear":
-        if directory and os.path.isdir(directory):
-            removed = 0
-            for f in os.listdir(directory):
-                if f.startswith("basis_") and f.endswith(".json"):
-                    os.remove(os.path.join(directory, f))
-                    removed += 1
-            print(f"removed {removed} cache files from {directory}")
-        else:
-            print("nothing to clear")
+            print(f"  {os.path.basename(f)}")
+    elif files is None:
+        print("nothing to clear")
+    else:
+        for f in files:
+            os.remove(f)
+        print(f"removed {len(files)} cache files from {directory}")
     return EXIT_PASS
 
 
@@ -255,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
                "then ./.etaforms_cache (use --no-cache-dir for memory only).",
     )
     parser.add_argument("--version", action="version", version=f"etaforms {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", help="basis cache directory")
-    common.add_argument("--no-cache-dir", action="store_true", help="disable cache persistence")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--report", help="write a JSON (or CSV for scan) report file")
+    cache_opts = argparse.ArgumentParser(add_help=False)
+    cache_opts.add_argument("--cache-dir", help="basis cache directory")
+    cache_opts.add_argument("--no-cache-dir", action="store_true", help="disable cache persistence")
+    common = argparse.ArgumentParser(add_help=False, parents=[cache_opts])
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--report", help="write a JSON report file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -293,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--amax", type=int, default=2)
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="congruence valuation scan")
+    p_scan = sub.add_parser("scan", parents=[cache_opts], help="congruence valuation scan")
+    p_scan.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_scan.add_argument("--report", help="write a JSON or CSV report file")
     p_scan.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--amax", type=int, default=4)
@@ -306,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(levels 18/p=2 and 12/p=3)")
     p_scan.set_defaults(fn=cmd_scan)
 
-    p_cache = sub.add_parser("cache", parents=[common], help="inspect or clear the basis cache")
+    p_cache = sub.add_parser("cache", parents=[cache_opts], help="inspect or clear the basis cache")
     p_cache.add_argument("action", choices=("info", "clear"))
     p_cache.set_defaults(fn=cmd_cache)
 

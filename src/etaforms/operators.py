@@ -8,6 +8,7 @@ accordingly.
 
 from __future__ import annotations
 
+from .basis import _extend_powers, _substitute
 from .errors import UnsupportedPair
 from .leveldata import get_level
 from .series import QSeries
@@ -42,7 +43,9 @@ def al_sum(n: int, p: int, coeffs, sign: int, prec: int = 64) -> QSeries:
 
     ``scale`` is the stored involution rescaling magnitude (8, 3, 4 for the
     pairs (6,2), (6,3), (10,2)); ``sign`` in {+1, -1} is chosen by the
-    identity check and recorded in the fixtures.
+    identity check and recorded in the fixtures.  The companion's powers
+    through the top degree form one table, and the rescaled coefficients are
+    substituted into it at O(q^prec).
     """
     data = get_level(n)
     if p not in data.aux:
@@ -50,13 +53,6 @@ def al_sum(n: int, p: int, coeffs, sign: int, prec: int = 64) -> QSeries:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     lam = sign * data.aux[p].scale
-    psi_cusp = data.aux_cusp_series(p, prec)
-    total = QSeries.zero(prec)
-    power = QSeries.one(prec)
-    factor = 1
-    for c in coeffs:
-        if c:
-            total = total + power.scalar_mul(c * factor)
-        power = power * psi_cusp
-        factor *= lam
-    return total
+    scaled = [c * lam ** i for i, c in enumerate(coeffs)]
+    powers = _extend_powers([QSeries.one(prec)], data.aux_cusp_series(p, prec), len(scaled) - 1)
+    return _substitute(scaled, powers, prec)

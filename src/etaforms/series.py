@@ -170,9 +170,7 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (int, Fraction, QSeries)):
             return NotImplemented
         return self + (-other)
 

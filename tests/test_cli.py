@@ -166,6 +166,31 @@ class TestValidateAndCache:
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
         assert code == 0 and "removed 1" in out
 
+    def test_cache_ignores_files_it_did_not_write(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        os.mkdir(cache_dir)
+        code, _, _ = run_cli(capsys, "scan", "--level", "6", "--p", "2", "--ncap", "20",
+                             "--cache-dir", cache_dir, "--report",
+                             os.path.join(cache_dir, "rows.json"))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "cache", "info", "--cache-dir", cache_dir)
+        assert code == 0 and "families: 1," in out and "rows.json" not in out
+        code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
+        assert code == 0 and "removed 1 " in out
+        assert os.listdir(cache_dir) == ["rows.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "duality", "--level", "6", "--window", "4", "--no-cache-dir", "--format", "csv"],
+        ["validate", "--level", "6", "--format", "csv"],
+        ["cache", "info", "--format", "json"],
+        ["cache", "info", "--report", "x.json"],
+    ], ids=["verify-csv", "validate-csv", "cache-format", "cache-report"])
+    def test_unproducible_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert os.listdir(tmp_path) == []
+
     def test_warm_and_cold_outputs_identical(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         argv = ["expand", "--level", "6", "--weight", "0", "--m", "2",

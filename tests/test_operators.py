@@ -98,6 +98,20 @@ class TestAlSum:
         cusp = get_level(10).aux_cusp_series(2, 10)
         assert s == cusp.scalar_mul(-4)
 
+    @pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (10, 2)])
+    def test_equals_a_term_by_term_sum(self, n, p):
+        # reference: one running power of the companion, each term added to
+        # the sum as it is reached
+        cusp = get_level(n).aux_cusp_series(p, 30)
+        lam = -get_level(n).aux[p].scale
+        coeffs = [2, 0, -3, 0, 0, 1]
+        ref, power = QSeries.zero(30), QSeries.one(30)
+        for i, c in enumerate(coeffs):
+            ref = ref + power.scalar_mul(c * lam ** i)
+            power = power * cusp
+        got = al_sum(n, p, iter(coeffs), sign=-1, prec=30)
+        assert (got.valuation, got.coeffs, got.prec) == (ref.valuation, ref.coeffs, ref.prec)
+
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPair):
             al_sum(12, 2, [1], sign=1, prec=8)

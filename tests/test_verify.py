@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from etaforms.basis import BasisCache
-from etaforms.leveldata import SUPPORTED_LEVELS
+from etaforms.basis import BasisCache, _Family
+from etaforms.leveldata import SUPPORTED_LEVELS, LevelData
+from etaforms.series import QSeries
 from etaforms.verify import (
     CheckReport,
     admissible_residues,
@@ -106,6 +107,33 @@ class TestAlIdentity:
     def test_rejects_non_coprime_residue(self, cache):
         with pytest.raises(ValueError):
             al_identity_check(6, 2, r_set=[2], a_max=0, cache=cache)
+
+    def test_shares_its_power_tables(self, monkeypatch):
+        # every row reads the check's one alt table and one companion table;
+        # a table per row and per sign costs 625 series products here
+        products = []
+        mul = QSeries.__mul__
+
+        def counting_mul(a, b):
+            if isinstance(b, QSeries):
+                products.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+        report = al_identity_check(6, 3, [1, 5, 7], a_max=2, window=48, cache=BasisCache())
+        assert report.passed
+        assert 2 * len(products) < 625
+
+    def test_refuses_a_bad_generator_before_any_row(self, monkeypatch):
+        rows_read = []
+        element = _Family.element
+        monkeypatch.setattr(LevelData, "aux_alt_series",
+                            lambda self, p, prec: QSeries(-1, [2, 0, 1], prec))
+        monkeypatch.setattr(_Family, "element",
+                            lambda fam, m: rows_read.append(m) or element(fam, m))
+        with pytest.raises(ValueError, match="generator must have expansion"):
+            al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
+        assert rows_read == []
 
 
 class TestCongruenceBound:
