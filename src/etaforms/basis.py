@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import fnmatch
+import functools
 import json
 import operator
 import os
@@ -149,40 +150,26 @@ class _Family:
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
-    """First (maximal-vanishing) element of the space as a series."""
-    if 4 in data.weight_forms:
-        k_part = k % 4
-        ell = (k - k_part) // 4
-        w4 = data.weight_forms[4].vanishing
-        w2 = data.weight_forms[2].vanishing
-        pad = (abs(ell) + 1) * w4 + w2 + 8
-        out = _int_power(lambda p: data.weight_form_series(4, p), ell, w4, prec + pad)
-        if k_part:
-            out = out * _int_power(lambda p: data.weight_form_series(2, p), 1, w2, prec + pad)
-    else:
-        w2 = data.weight_forms[2].vanishing
-        e = k // 2
-        pad = (abs(e) + 1) * w2 + 8
-        out = _int_power(lambda p: data.weight_form_series(2, p), e, w2, prec + pad)
+    """First (maximal-vanishing) element of the space, known to O(q^prec).
+
+    A product is known to each factor's precision plus the other factors'
+    valuation, so each input of valuation v (the fixture's vanishing order, or
+    -1 for psi) is expanded to O(q^(prec - gap + v)), and past its leading term.
+    """
+    shift = max(prec - _gap(data, k, space), 1)
+    exponents = {4: k // 4, 2: k % 4 // 2} if 4 in data.weight_forms else {2: k // 2}
+    factors = [data.weight_form_series(w, shift + data.weight_forms[w].vanishing) ** e
+               for w, e in exponents.items() if e]
     if space == S_SPACE:
-        depth = len(data.cusp_poly)
-        # the product with the cusp polynomial loses the deeper of the two
-        # pole depths, so size the hauptmodul for the worst case
-        psi = data.hauptmodul_series(prec + depth + max(0, -out.valuation) + 8)
-        powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth - 1)
-        out = out * _substitute(data.cusp_poly, powers, psi.prec)
+        psi = data.hauptmodul_series(shift - 1)
+        powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, len(data.cusp_poly) - 1)
+        factors.append(_substitute(data.cusp_poly, powers, psi.prec))
+    out = functools.reduce(operator.mul, factors) if factors else QSeries.one(prec)
     if out.prec < prec:
         raise InsufficientPrecision(
             f"first element of (level {data.N}, weight {k}, {space}) reached only "
             f"O(q^{out.prec})", needed=prec)
     return out.truncated(prec)
-
-
-def _int_power(series_fn, e: int, vanishing: int, prec: int) -> QSeries:
-    if e == 0:
-        return QSeries.one(prec)
-    base_prec = prec + (abs(e) + 1) * vanishing + 2
-    return series_fn(base_prec) ** e
 
 
 def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]:

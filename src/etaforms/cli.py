@@ -84,14 +84,21 @@ def _emit(doc: dict, text: str, args, csv_text: str | None = None) -> None:
 
 
 def _write_report(path: str, doc: dict, csv_text: str | None) -> None:
-    if path.endswith(".csv") and csv_text is not None:
+    if path.endswith(".csv"):              # only scan, which passes csv_text, accepts one
         content = csv_text
-    elif path.endswith(".csv"):
-        raise ValueError("CSV reports are only available for scan rows")
     else:
         content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w") as fh:
+            fh.write(content)
+    except OSError as err:
+        raise ValueError(f"cannot write report {path}: {err.strerror}") from err
+
+
+def _json_report_path(path: str) -> str:
+    if path.endswith(".csv"):
+        raise argparse.ArgumentTypeError("CSV reports are only available for scan rows")
+    return path
 
 
 def _resolve_cache(args) -> BasisCache:
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_opts.add_argument("--no-cache-dir", action="store_true", help="disable cache persistence")
     common = argparse.ArgumentParser(add_help=False, parents=[cache_opts])
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--report", help="write a JSON report file")
+    common.add_argument("--report", type=_json_report_path, help="write a JSON report file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,6 +318,11 @@ def main(argv=None) -> int:
     except SystemExit as err:
         # argparse uses exit 2 for usage errors and 0 for --help/--version
         return 0 if err.code in (0, None) else EXIT_USAGE
+    report = getattr(args, "report", None)
+    if report and not os.path.isdir(os.path.dirname(report) or "."):
+        # refuse before any work, not after printing the whole report
+        print(f"error: the directory of report {report} does not exist", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except _INTEGRITY_ERRORS as err:

@@ -369,6 +369,8 @@ def validate_level(n: int, prec: int = 64, data: LevelData | None = None) -> Val
             cusp = data.aux_cusp_series(p, prec)
             ok = (alt.valuation == -1 and alt.coeff(-1) == 1
                   and all(isinstance(c, int) for c in alt.coeffs)
+                  # the involution check decomposes in alt as psi shifted by a constant
+                  and not any(e for e, _ in (alt - data.hauptmodul_series(prec)).terms())
                   and all(isinstance(c, int) for c in cusp.coeffs)
                   and ligozat_order(aux.alt, data.N) == aux.alt.offset() == -1
                   and cusp.valuation == ligozat_order(aux.cusp, data.N) == aux.cusp.offset()

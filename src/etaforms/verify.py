@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field
 from math import gcd
 
-from .basis import BasisCache, _extend_powers, _peel, _substitute, default_cache
+from .basis import BasisCache, _extend_powers, _substitute, default_cache
 from .errors import InsufficientPrecision, NoConsistentSign, UnsupportedPair
 from .leveldata import get_level
 from .operators import theta, u_p
@@ -309,6 +309,9 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     for a = 0 and p-1 otherwise.  The q^0 slot absorbs the constant from the
     involution's holomorphic pieces and is reported, not matched.
 
+    The alternative generator must be psi + c, checked before any row is read;
+    element m is P(psi), so its decomposition is P(y - c), integer work only.
+
     The same sign must work for every row; it is recorded in the fixtures.
     As a corollary the positive coefficients of u_p(element r) are divisible
     by scale/p, which is re-checked explicitly on the computed rows.
@@ -326,7 +329,10 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     alt = data.aux_alt_series(p, prec + max_m + 8)
     if alt.valuation != -1 or alt.coeff(-1) != 1:
         raise ValueError("generator must have expansion q^-1 + ...")
-    alt_powers = _extend_powers([QSeries.one(alt.prec + 1)], alt, max_m)
+    offset = alt - data.hauptmodul_series(alt.prec)
+    if any(e for e, _ in offset.terms()):
+        raise NoConsistentSign(f"alternative generator for p={p} is not psi + constant")
+    alt_shift = offset.coeff(0)
     # row m has degree m in alt, and its left side is known to O(q^(f_m.prec // p))
     deepest = max(fam.element(p ** a * r).expansion.prec
                   for r in r_set for a in range(a_max + 1)) // p
@@ -338,14 +344,13 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
             raise ValueError(f"residue {r} is not coprime to {p}")
         for a in range(0, a_max + 1):
             m = p ** a * r
-            f_m = fam.element(m).expansion
-            coeffs, residual = _peel(f_m, alt_powers[:m + 1], 0)
-            if not residual.is_zero():
-                raise NoConsistentSign(f"element {m} is not polynomial in the alternative generator")
+            element = fam.element(m)
+            coeffs = _shift_poly(element.haupt_poly, alt_shift)
             if any(not isinstance(c, int) for c in coeffs):
                 raise NoConsistentSign(f"non-integral decomposition for element {m}")
             eps = (p - 1) if a else -1
-            lhs = u_p(f_m, p).scalar_mul(p)
+            image = u_p(element.expansion, p)
+            lhs = image.scalar_mul(p)
             if a:
                 lhs = lhs - fam.element(m // p).expansion.scalar_mul(p)
             row = {"r": r, "a": a, "m": m, "degree": len(coeffs) - 1}
@@ -361,7 +366,6 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
                     row[f"constant_slot_sign_{sign:+d}"] = diff.coeff(0) if diff.prec > 0 else 0
             if a == 0:
                 # divisibility corollary on the computed image
-                image = u_p(f_m, p)
                 worst = None
                 for e, c in image.terms():
                     if e >= 1:
@@ -392,6 +396,15 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
             "rows": rows,
         },
     )
+
+
+def _shift_poly(coeffs, c) -> list:
+    """Ascending coefficients of P(y - c), for P in ascending ``coeffs`` (Horner)."""
+    out = []
+    for a in reversed(coeffs):
+        out = [x - c * y for x, y in zip([0] + out, out + [0])]
+        out[0] += a
+    return out
 
 
 def _valuation(value: int, p: int) -> int:

@@ -1,5 +1,6 @@
 """Tests for canonical basis construction."""
 
+import dataclasses
 import json
 import os
 import random
@@ -12,6 +13,7 @@ from etaforms import basis
 from etaforms.basis import (
     CACHE_FORMAT_VERSION,
     BasisCache,
+    _first_series,
     _peel,
     a_coeff,
     b_coeff,
@@ -22,7 +24,7 @@ from etaforms.basis import (
 )
 from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExceeded
 from etaforms.eta import EtaQuotient
-from etaforms.leveldata import SUPPORTED_LEVELS, get_level
+from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
 from etaforms.series import QSeries
 from etaforms.verify import theta_check
 
@@ -399,6 +401,46 @@ class TestPowerTable:
                                    min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
         assert first.expansion.prec == want.expansion.prec
+
+
+class TestFirstSeriesSizing:
+    @pytest.mark.parametrize("space", ["M", "S"])
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_known_to_exactly_the_requested_precision(self, n, space):
+        data = get_level(n)
+        for k in range(-4, 13, 2):
+            for prec in (1, 40, 97):        # 1 lies at or below every positive gap
+                assert _first_series(data, k, space, prec).prec == prec
+
+    @pytest.mark.parametrize("n, k, space, prec, want", [
+        (18, 6, "M", 121, [(2, 109)]),
+        (10, 6, "M", 100, [(4, 98), (2, 94)]),
+        (6, -4, "S", 100, [(2, 109)]),
+        (12, 4, "S", 100, [(2, 101)]),
+    ])
+    def test_weight_forms_expanded_only_as_deep_as_needed(self, monkeypatch, n, k, space,
+                                                           prec, want):
+        # input of valuation v is needed to O(q^(prec - gap + v)); guessed pads
+        # asked (18, 2) for O(q^179)
+        requests = []
+        expand = LevelData.weight_form_series
+        monkeypatch.setattr(LevelData, "weight_form_series",
+                            lambda self, w, p: requests.append((w, p)) or expand(self, w, p))
+        _first_series(get_level(n), k, space, prec)
+        assert requests == want
+
+    @pytest.mark.parametrize("n", [6, 10, 18])
+    def test_overstated_vanishing_fails_loudly(self, n):
+        data = get_level(n)
+        form = data.weight_forms[2]
+        forms = {**data.weight_forms, 2: dataclasses.replace(form, vanishing=form.vanishing + 1)}
+        wrong = dataclasses.replace(data, weight_forms=forms)
+        for k in (-2, 2, 6):
+            for space in ("M", "S"):
+                fam = basis._Family(wrong, k, space, 40)
+                with pytest.raises((InsufficientPrecision, RuntimeError)):
+                    for m in range(fam.m0, fam.m0 + 4):
+                        fam.element(m)
 
 
 class TestReach:

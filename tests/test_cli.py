@@ -127,6 +127,21 @@ class TestScan:
         doc = json.loads(jpath.read_text())
         assert doc["command"] == "scan" and doc["summary"]["failures"] == 0
 
+    def test_report_into_missing_directory_refused_before_any_work(self, capsys, tmp_path):
+        path = tmp_path / "nodir" / "rows.json"
+        code, out, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", "--ncap", "20",
+                                 "--no-cache-dir", "--report", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+        # the path is a directory, so opening it for writing fails
+        code, _, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", "--amax", "1",
+                               "--bmax", "1", "--ncap", "20", "--no-cache-dir",
+                               "--report", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot write report") and len(err.splitlines()) == 1
+
     def test_bad_residue_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--level", "6", "--p", "2",
                              "--rset", "2", "--ncap", "20", "--no-cache-dir")
@@ -184,7 +199,9 @@ class TestValidateAndCache:
         ["validate", "--level", "6", "--format", "csv"],
         ["cache", "info", "--format", "json"],
         ["cache", "info", "--report", "x.json"],
-    ], ids=["verify-csv", "validate-csv", "cache-format", "cache-report"])
+        ["verify", "duality", "--level", "6", "--window", "15", "--no-cache-dir",
+         "--report", "r.csv"],
+    ], ids=["verify-csv", "validate-csv", "cache-format", "cache-report", "verify-csv-report"])
     def test_unproducible_output_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, *argv)

@@ -4,11 +4,14 @@ import json
 
 import pytest
 
-from etaforms.basis import BasisCache, _Family
-from etaforms.leveldata import SUPPORTED_LEVELS, LevelData
+from etaforms.basis import BasisCache, _extend_powers, _Family, _peel
+from etaforms.cli import main
+from etaforms.errors import NoConsistentSign
+from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
 from etaforms.series import QSeries
 from etaforms.verify import (
     CheckReport,
+    _shift_poly,
     admissible_residues,
     al_identity_check,
     congruence_bound,
@@ -109,8 +112,9 @@ class TestAlIdentity:
             al_identity_check(6, 2, r_set=[2], a_max=0, cache=cache)
 
     def test_shares_its_power_tables(self, monkeypatch):
-        # every row reads the check's one alt table and one companion table;
-        # a table per row and per sign costs 625 series products here
+        # rows are decomposed in alt by a polynomial shift and read one companion
+        # table; a table per row and per sign costs 625 series products here,
+        # and peeling against one alt table 226
         products = []
         mul = QSeries.__mul__
 
@@ -122,7 +126,7 @@ class TestAlIdentity:
         monkeypatch.setattr(QSeries, "__mul__", counting_mul)
         report = al_identity_check(6, 3, [1, 5, 7], a_max=2, window=48, cache=BasisCache())
         assert report.passed
-        assert 2 * len(products) < 625
+        assert len(products) < 226
 
     def test_refuses_a_bad_generator_before_any_row(self, monkeypatch):
         rows_read = []
@@ -134,6 +138,35 @@ class TestAlIdentity:
         with pytest.raises(ValueError, match="generator must have expansion"):
             al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
         assert rows_read == []
+
+    @pytest.mark.parametrize("n, p, shift", [(6, 2, -5), (6, 3, -5), (10, 2, 1)])
+    def test_shift_decomposition_matches_peeling(self, n, p, shift, cache):
+        # the reference: peel each row against the powers of alt itself
+        data = get_level(n)
+        max_m = p ** 2 * 7
+        fam = cache.family(n, 0, "M", min_index=max_m, min_prec=40)
+        alt = data.aux_alt_series(p, 40 + max_m + 8)
+        assert alt - data.hauptmodul_series(alt.prec) == shift
+        powers = _extend_powers([QSeries.one(alt.prec + 1)], alt, max_m)
+        for m in sorted({p ** a * r for r in (1, 5, 7) for a in range(3)}):
+            element = fam.element(m)
+            coeffs, residual = _peel(element.expansion, powers[:m + 1], 0)
+            assert residual.is_zero()
+            assert _shift_poly(element.haupt_poly, shift) == coeffs
+
+    def test_refuses_an_alt_that_is_not_psi_plus_a_constant(self, monkeypatch, capsys):
+        rows_read = []
+        element = _Family.element
+        haupt = LevelData.hauptmodul_series
+        monkeypatch.setattr(LevelData, "aux_alt_series",
+                            lambda self, p, prec: haupt(self, prec) + QSeries.monomial(1, 1, prec))
+        monkeypatch.setattr(_Family, "element",
+                            lambda fam, m: rows_read.append(m) or element(fam, m))
+        with pytest.raises(NoConsistentSign, match="not psi"):
+            al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
+        assert rows_read == []
+        assert main(["validate", "--level", "6"]) == 3
+        assert "[FAIL] p=2 involution data shapes" in capsys.readouterr().out
 
 
 class TestCongruenceBound:
