@@ -7,11 +7,18 @@ an integer polynomial P.  The subspace vanishing at the other cusps has the
 same structure with n1 in place of n0 and the cusp polynomial folded into the
 first element.
 
-Every element is built one way, by power elimination: take (first element) *
-psi^i for the element's degree i and clear its coefficients from q^(1-m)
-through the gap against the lower powers, recording P along the way.  One
-routine, _extend_powers, grows every power table, built on first use, and
-one, _substitute, evaluates every polynomial at a series.
+Every element is built one way.  P comes from the paper's generating
+function, sum of f_m(tau) z^m = first(tau) g(z) / (psi(z) - psi(tau)), with
+g the first element of weight 2-k in the other space: one expansion of g,
+then a recurrence on coefficients.  first * P(psi) is evaluated by
+baby-step/giant-step (Paterson-Stockmeyer): Horner in psi^B over blocks
+that combine the baby powers first * psi^b, b < B.  A walk through
+consecutive indices extends the baby table one power per index; a set of
+scattered rows, as a congruence scan reads, gets the B that costs the
+fewest series products.  Each result is checked to be q^-m with zeros
+through the gap, which makes it the unique canonical element.  One routine,
+_extend_powers, grows every power table, and one, _substitute, evaluates
+every polynomial at a series.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
@@ -35,11 +42,11 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation, PrecisionExceeded
 from .leveldata import LevelData, get_level
-from .series import QSeries, normalize_coeff
+from .series import QSeries, _convolve, _progression, normalize_coeff
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -68,16 +75,6 @@ class BasisElement:
         return c
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _gap(data: LevelData, k: int, space: str) -> int:
     """Each element of the space is q^-m plus terms beyond q^gap: n0(k) for M, n1(k) for S."""
     return data.n0(k) if space == M_SPACE else data.n1(k)
@@ -86,9 +83,11 @@ def _gap(data: LevelData, k: int, space: str) -> int:
 class _Family:
     """All computed elements of one (level, weight, space) at one reach.
 
-    Element m is known to O(q^(reach + 8 - m)).  ``top`` is the highest index
-    a request asked for; once every index from m0+1 to ``top`` is built, the
-    power table is dropped.
+    Element m is first * P_m(psi), known to O(q^(reach + 8 - m)).  ``cols[t]``
+    holds the x^t coefficients of P_(m0+t), P_(m0+t+1), ...; ``baby`` holds
+    first * psi^b, and ``giant`` the last psi^B a Horner evaluation used.
+    ``top`` is the highest index a request asked for; once every index from
+    m0+1 to ``top`` is built, the tables are dropped.
     """
 
     def __init__(self, data: LevelData, k: int, space: str, reach: int):
@@ -100,53 +99,118 @@ class _Family:
         self.reach = reach
         self.top = self.m0
         self.elements: dict[int, BasisElement] = {}
-        self._powers: list[QSeries] = []     # first * psi^i, by i
         self.saved: int | None = None        # element count of its cache file, if any
+        self._drop_tables()
+
+    def _drop_tables(self) -> None:
+        self.cols: list[list] = [[1]]
+        self.baby: list[QSeries] = []
+        self.giant: QSeries | None = None
+        self._psi: QSeries | None = None
+        self._dual: QSeries | None = None
 
     def element(self, m: int) -> BasisElement:
-        if m < self.m0:
-            raise IndexBelowRange(
-                f"index {m} below minimal pole order {self.m0} for "
-                f"(level {self.data.N}, weight {self.k}, space {self.space})")
-        got = self.elements.get(m)
-        if got is None:
-            got = self.elements[m] = self._eliminate(m)
-            if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
-                # every index above m0 is built; element m0 is powers[0], so
-                # a later request for it costs one first-element expansion
-                self._powers = []
-        return got
+        """Element m; the baby table grows through its degree, so a walk uses no giant."""
+        return self.elements.get(m) or self.rows([m], m - self.m0 + 1)[0]
 
-    def _eliminate(self, m: int) -> BasisElement:
-        """Clear the principal part of first * psi^(m-m0) against lower powers."""
-        i_top = m - self.m0
-        powers = self._power_table(i_top)
-        peeled, series = _peel(powers[i_top], powers[:i_top], self.m0)
-        poly = [-c for c in peeled] + [1]
+    def rows(self, ms, babies: int | None = None) -> list[BasisElement]:
+        """Elements ``ms``, the missing ones evaluated with ``babies`` baby powers
+        or else the planned count."""
+        if min(ms) < self.m0:
+            raise IndexBelowRange(
+                f"index {min(ms)} below minimal pole order {self.m0} for "
+                f"(level {self.data.N}, weight {self.k}, space {self.space})")
+        degrees = sorted({m - self.m0 for m in ms if m not in self.elements})
+        if degrees:
+            b = babies or self._plan(degrees)
+            if not self.baby:
+                self.baby.append(_first_series(self.data, self.k, self.space,
+                                               self.reach + 8 - self.m0))
+            # first * psi^b is known to min(first.prec - b, psi.prec - m0 + 1 - b),
+            # and element m = m0 + b must reach O(q^(reach + 8 - m))
+            psi = self._psi = self._psi or self.data.hauptmodul_series(self.reach + 7)
+            _extend_powers(self.baby, psi, b - 1)
+            for d in degrees:
+                self._evaluate(d, b, psi)
+            if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
+                # element m0 is baby[0], so a later request for it costs one
+                # first-element expansion
+                self._drop_tables()
+        return [self.elements[m] for m in ms]
+
+    def _plan(self, degrees: list[int]) -> int:
+        """The baby count B that makes the fewest series products: one per new
+        baby, d // B Horner steps per row, and a binary powering for a new
+        giant.  Ties go to the larger B."""
+        have = len(self.baby)
+        held = self.giant and -self.giant.valuation
+
+        def cost(b):
+            steps = sum(d // b for d in degrees)
+            giant = steps and b != held and b.bit_length() + bin(b).count("1") - 2
+            return max(b - have, 0) + steps + giant
+
+        return min(range(max(have, degrees[-1] + 1), 0, -1), key=cost)
+
+    def _evaluate(self, d: int, b: int, psi: QSeries) -> None:
+        """Element m0 + d as first * P(psi), by Horner in psi^b over blocks of b babies."""
+        m = self.m0 + d
+        poly = self._poly(d, psi)
+        prec = self.reach + 8 - m
+        g = d // b
+        series = _substitute(poly[g * b:], self.baby, prec + g * b)
+        if g and (self.giant is None or -self.giant.valuation != b):
+            self.giant = psi ** b
+        for g in range(g - 1, -1, -1):
+            block = _substitute(poly[g * b:(g + 1) * b], self.baby, prec + g * b)
+            series = series * self.giant + block
+        assert series.prec == prec
+        # q^-m with zeros through the gap is the unique element: P is checked
         for t in range(-m + 1, self.gap + 1):
             if series.coeff(t):
                 raise RuntimeError(
-                    f"power elimination left q^{t} uncancelled at index {m} for "
+                    f"P_{m}(psi) left q^{t} uncancelled for "
                     f"(level {self.data.N}, weight {self.k}, space {self.space})")
-        if self.space == S_SPACE:
-            poly = _poly_mul(self.data.cusp_poly, poly)
-        element = BasisElement(
-            level=self.data.N, weight=self.k, index=m, space=self.space,
-            expansion=series, haupt_poly=tuple(poly))
         if series.coeff(-m) != 1:
             raise RuntimeError(f"unit pivot failed at index {m}")
-        return element
+        if self.space == S_SPACE:
+            poly = _convolve(self.data.cusp_poly, poly, len(self.data.cusp_poly) + len(poly) - 1)
+        self.elements[m] = BasisElement(
+            level=self.data.N, weight=self.k, index=m, space=self.space,
+            expansion=series, haupt_poly=tuple(poly))
 
-    def _power_table(self, i_top: int) -> list[QSeries]:
-        powers = self._powers
-        if len(powers) <= i_top:
-            # first * psi^i is known to min(first.prec - i, psi.prec - m0 + 1 - i),
-            # and element m = m0 + i must reach O(q^(reach + 8 - m))
-            if not powers:
-                powers.append(_first_series(self.data, self.k, self.space,
-                                            self.reach + 8 - self.m0))
-            _extend_powers(powers, self.data.hauptmodul_series(self.reach + 7), i_top)
-        return powers
+    def _poly(self, d: int, psi: QSeries) -> list:
+        """P_(m0+d), ascending, from the paper's generating function.
+
+        H(z) = sum of P_n z^n satisfies H(z) (psi(z) - x) = g(z), where g is
+        the first element of weight 2-k in the other space and leads with
+        z^(m0-1).  With psi = q^-1 + sum of c_j q^j, the coefficient of z^n
+        gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n.
+        """
+        cols = self.cols
+        if len(cols) <= d:
+            if self._dual is None or self._dual.prec < self.m0 + d:
+                # once, as deep as the family's top asks
+                need = max(self.top, self.m0 + d)
+                if (self.k, self.space) == (0, M_SPACE):
+                    # theta relation at m = 1: g is -theta(psi), no weight form needed
+                    g = self.data.hauptmodul_series(need).termwise(lambda e, c: -e * c)
+                else:
+                    dual = M_SPACE if self.space == S_SPACE else S_SPACE
+                    g = _first_series(self.data, 2 - self.k, dual, need)
+                self._dual = g
+            c = [psi.coeff(j) for j in range(d)]
+            first, step = _progression(c)       # c_j = 0 off first + step * i
+            first, step = first or 0, step or 1
+            c = c[first::step]
+            for i in range(len(cols) - 1, d):
+                # degree i + 1, top coefficient first so cols[t - 1][-1] is still degree i's
+                cols.append([1])
+                for t in range(i, -1, -1):
+                    low = cols[t - 1][-1] if t else self._dual.coeff(self.m0 + i)
+                    rest = islice(reversed(cols[t]), first, None, step)
+                    cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, rest))))
+        return [cols[t][d - t] for t in range(d + 1)]
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
@@ -180,12 +244,19 @@ def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]
 
 
 def _substitute(coeffs, powers: list[QSeries], prec: int) -> QSeries:
-    """Sum of coeffs[i] * powers[i], known to O(q^prec) or the least precision used."""
-    total = QSeries.zero(prec)
-    for c, power in zip(coeffs, powers):
-        if c:
-            total = total + power.scalar_mul(c)
-    return total
+    """Sum of coeffs[i] * powers[i], known to O(q^prec) or the least precision used.
+
+    The scaled powers accumulate in one list.
+    """
+    used = [(c, p) for c, p in zip(coeffs, powers) if c]
+    prec = min([prec] + [p.prec for _, p in used])
+    val = min([prec] + [p.valuation for _, p in used])
+    acc = [0] * (prec - val)
+    for c, p in used:
+        lo = p.valuation - val
+        hi = min(lo + len(p.coeffs), prec - val)
+        acc[lo:hi] = [x + c * y for x, y in zip(acc[lo:hi], p.coeffs)]
+    return QSeries(val, acc, prec)
 
 
 class BasisCache:
@@ -210,7 +281,10 @@ class BasisCache:
                min_prec: int = 64) -> _Family:
         data = get_level(n)
         key = (n, k, space)
-        need = min_prec + max(min_index, -_gap(data, k, space))
+        gap = _gap(data, k, space)
+        # element m0 must be known past its gap for its pivot to be read
+        min_prec = max(min_prec, gap + 1)
+        need = min_prec + max(min_index, -gap)
         with self._lock:
             fam = self._families.get(key)
             if fam is None and self.directory:
@@ -226,7 +300,7 @@ class BasisCache:
         if prec is None:
             prec = max(64, _gap(get_level(n), k, space) + 17)
         with self._lock:
-            return self.family(n, k, space, min_index=m, min_prec=prec).element(m)
+            return self.family(n, k, space, min_index=m, min_prec=prec).rows([m])[0]
 
     def clear(self) -> None:
         with self._lock:
@@ -286,8 +360,8 @@ class BasisCache:
                 fam.elements[m] = BasisElement(
                     level=data.N, weight=k, index=m, space=space,
                     expansion=QSeries.from_json(e),
-                    haupt_poly=tuple(normalize_coeff(Fraction(c)) for c in e["poly"]))
-        except (ValueError, KeyError, TypeError, AttributeError) as err:
+                    haupt_poly=tuple(normalize_coeff(c) for c in e["poly"]))
+        except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError) as err:
             # a parse or schema error costs a recomputation, and the next
             # save replaces the file
             print(f"warning: ignoring unreadable cache file {path} "

@@ -34,7 +34,11 @@ def normalize_coeff(value) -> Coeff:
     if isinstance(value, int):        # bool and int subclasses
         return int(value)
     if isinstance(value, str):
-        return normalize_coeff(Fraction(value))
+        # the inverse of str(): a plain integer parses as int, anything else as Fraction
+        try:
+            return int(value)
+        except ValueError:
+            return normalize_coeff(Fraction(value))
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}: {value!r}")
 
 
@@ -131,12 +135,17 @@ class QSeries:
                 return False
         return True
 
+    def _lift(self, scalar) -> "QSeries":
+        """The constant ``scalar`` at this series' precision: zero when q^0 is unknown."""
+        if scalar and self.prec > 0:
+            return QSeries(0, (scalar,), self.prec)
+        return QSeries.zero(self.prec)
+
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self._lift(other)
         if isinstance(other, QSeries):
             return self.agrees_with(other)
-        if isinstance(other, (int, Fraction)):
-            other_series = QSeries(0, (other,), self.prec) if other else QSeries.zero(self.prec)
-            return self.agrees_with(other_series)
         return NotImplemented
 
     __hash__ = None
@@ -149,7 +158,7 @@ class QSeries:
 
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            other = QSeries(0, (other,), self.prec) if other else QSeries.zero(self.prec)
+            other = self._lift(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
@@ -287,7 +296,7 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
-        return QSeries(data["valuation"], [Fraction(c) for c in data["coeffs"]], data["prec"])
+        return QSeries(data["valuation"], data["coeffs"], data["prec"])
 
     def pretty(self, max_terms: int | None = None) -> str:
         """Human form like ``q^-1 + 6q + 4q^2 - 3q^3``."""

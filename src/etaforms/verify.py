@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -154,7 +155,7 @@ def _pairing_constant_term(f: QSeries, g: QSeries):
     n = max(t_hi + 1 - f.valuation, 0)
     fc = f.coeffs[:n]
     gc = g.coeffs[:n]
-    return sum(x * y for x, y in zip(fc[n - len(gc):], reversed(gc)) if x)
+    return sum(map(operator.mul, fc[n - len(gc):], reversed(gc)))
 
 
 # ----------------------------------------------------------------------
@@ -333,18 +334,20 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     if any(e for e, _ in offset.terms()):
         raise NoConsistentSign(f"alternative generator for p={p} is not psi + constant")
     alt_shift = offset.coeff(0)
+    for r in r_set:
+        if gcd(r, p) != 1:
+            raise ValueError(f"residue {r} is not coprime to {p}")
+    ms = sorted({p ** a * r for r in r_set for a in range(a_max + 1)})
+    elements = dict(zip(ms, fam.rows(ms)))
     # row m has degree m in alt, and its left side is known to O(q^(f_m.prec // p))
-    deepest = max(fam.element(p ** a * r).expansion.prec
-                  for r in r_set for a in range(a_max + 1)) // p
+    deepest = max(e.expansion.prec for e in elements.values()) // p
     cusp_powers = _extend_powers([QSeries.one(deepest)], data.aux_cusp_series(p, deepest), max_m)
     corollary_bound = _valuation(aux.scale, p) - 1
     corollary_ok = True
     for r in sorted(r_set):
-        if gcd(r, p) != 1:
-            raise ValueError(f"residue {r} is not coprime to {p}")
         for a in range(0, a_max + 1):
             m = p ** a * r
-            element = fam.element(m)
+            element = elements[m]
             coeffs = _shift_poly(element.haupt_poly, alt_shift)
             if any(not isinstance(c, int) for c in coeffs):
                 raise NoConsistentSign(f"non-integral decomposition for element {m}")
@@ -352,7 +355,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
             image = u_p(element.expansion, p)
             lhs = image.scalar_mul(p)
             if a:
-                lhs = lhs - fam.element(m // p).expansion.scalar_mul(p)
+                lhs = lhs - elements[m // p].expansion.scalar_mul(p)
             row = {"r": r, "a": a, "m": m, "degree": len(coeffs) - 1}
             for sign in (1, -1):
                 lam = sign * aux.scale
@@ -474,6 +477,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
             name="congruence-scan", params={"level": n, "p": p}, passed=True,
             window="empty", details={"vacuous": True})
     fam = cache.family(n, 0, "M", min_index=max(m_values), min_prec=n_cap + 1)
+    elements = dict(zip(m_values, fam.rows(m_values)))
     rows = []
     failures = 0
     zero_rows = 0
@@ -483,7 +487,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
             m = p ** a * r
             if m > n_cap:
                 continue
-            elem = fam.element(m)
+            elem = elements[m]
             for b in range(b_max + 1):
                 for s in sorted(s_set):
                     nn = p ** b * s

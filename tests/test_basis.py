@@ -9,10 +9,11 @@ from itertools import zip_longest
 
 import pytest
 
-from etaforms import basis
+from etaforms import basis, series
 from etaforms.basis import (
     CACHE_FORMAT_VERSION,
     BasisCache,
+    _extend_powers,
     _first_series,
     _peel,
     a_coeff,
@@ -26,7 +27,7 @@ from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExc
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
 from etaforms.series import QSeries
-from etaforms.verify import theta_check
+from etaforms.verify import congruence_scan, theta_check
 
 
 @pytest.fixture()
@@ -225,7 +226,9 @@ class TestPeel:
     def test_fused_peel_matches_reference(self, n, k, space):
         fam = BasisCache().family(n, k, space, min_index=24, min_prec=40)
         i_max = fam.top - fam.m0
-        powers = fam._power_table(i_max)
+        fam.element(fam.top)            # the walk extends the baby table through i_max
+        powers = fam.baby
+        assert len(powers) == i_max + 1
         for i in range(i_max + 1):
             got = _peel(powers[i], powers[:i], fam.m0)
             want = reference_peel(powers[i], powers[:i], fam.m0)
@@ -356,6 +359,27 @@ class TestCachePersistence:
         assert got.expansion.coeffs == want.expansion.coeffs
         assert "unreadable cache file" in capsys.readouterr().err
 
+    def test_rational_coefficient_round_trips_and_malformed_ones_miss(self, tmp_path, capsys):
+        disk = BasisCache(directory=str(tmp_path))
+        want = disk.element(6, 0, "M", 4, prec=32)
+        [path] = disk.save()
+        with open(path) as fh:
+            doc = json.load(fh)
+        for coeff, served in (("3/2", True), ("3/x", False), ("1/0", False)):
+            doc["elements"]["4"]["coeffs"][1] = coeff
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            got = BasisCache(directory=str(tmp_path)).element(6, 0, "M", 4, prec=32)
+            err = capsys.readouterr().err
+            if served:
+                assert got.expansion.coeffs[1] == Fraction(3, 2)
+                assert [type(c) for c in got.expansion.coeffs[2:]] == \
+                    [type(c) for c in want.expansion.coeffs[2:]]
+                assert got.haupt_poly == want.haupt_poly and err == ""
+            else:
+                assert got.expansion.coeffs == want.expansion.coeffs
+                assert err.count("\n") == 1 and "unreadable cache file" in err
+
     def test_older_format_is_a_silent_miss_and_rewritten(self, tmp_path, capsys):
         disk = BasisCache(directory=str(tmp_path))
         want = disk.element(6, 0, "M", 4, prec=32)
@@ -394,13 +418,91 @@ class TestPowerTable:
         theta_check(10, m_max=20, window=40, cache=cache)
         fam = cache._families[(10, 0, "M")]
         assert len(fam.elements) == 20 and 0 not in fam.elements
-        assert fam._powers == []
+        dropped = ([[1]], [], None)
+        assert (fam.cols, fam.baby, fam.giant) == dropped
         first = fam.element(0)
-        assert fam._powers == []
+        assert (fam.cols, fam.baby, fam.giant) == dropped
         want = BasisCache().family(10, 0, "M", min_index=fam.top,
                                    min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
         assert first.expansion.prec == want.expansion.prec
+
+
+def eliminated_polys(n, k, space, degree):
+    """P_(m0+i) for i <= degree by the reference: peel first * psi^i against the lower powers."""
+    data = get_level(n)
+    gap = data.n0(k) if space == "M" else data.n1(k)
+    # first * psi^i is known to O(q^(gap + degree + 1 - i)), past the gap
+    first = _first_series(data, k, space, gap + degree + 1)
+    powers = _extend_powers([first], data.hauptmodul_series(degree + 1), degree)
+    return [[-c for c in _peel(powers[i], powers[:i], -gap)[0]] + [1]
+            for i in range(degree + 1)]
+
+
+def element_fields(e):
+    return (e.level, e.weight, e.index, e.space, e.haupt_poly,
+            e.expansion.valuation, e.expansion.coeffs, e.expansion.prec)
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_polynomials_match_elimination(self, n):
+        psi = get_level(n).hauptmodul_series(40)
+        for k in range(-4, 7, 2):
+            for space in ("M", "S"):
+                fam = basis._Family(get_level(n), k, space, 40)
+                got = [fam._poly(d, psi) for d in (40,) + tuple(range(40))]
+                want = eliminated_polys(n, k, space, 40)
+                assert got == want[40:] + want[:40], (k, space)
+                assert [list(map(type, p)) for p in got] == \
+                    [list(map(type, p)) for p in want[40:] + want[:40]]
+
+    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (10, 2, "S"), (12, -2, "M"),
+                                             (18, 0, "M"), (18, 4, "S")])
+    def test_rows_equal_walked_elements(self, n, k, space):
+        data = get_level(n)
+        m0 = -(data.n0(k) if space == "M" else data.n1(k))
+        ms = [m0 + d for d in (47, 0, 9, 30, 1, 16)]
+        planned = BasisCache().family(n, k, space, min_index=m0 + 47, min_prec=30)
+        got = planned.rows(ms)
+        assert planned.giant is not None        # the Horner path ran
+        got += planned.rows([m0 + 40, m0 + 9])
+        walked = BasisCache().family(n, k, space, min_index=m0 + 47, min_prec=30)
+        for e in got:
+            assert element_fields(e) == element_fields(walked.element(e.index))
+
+    @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (4, "M")])
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_contiguous_walk_makes_one_product_per_degree(self, monkeypatch, n, k, space):
+        data = get_level(n)
+        m0 = -(data.n0(k) if space == "M" else data.n1(k))
+        fam = BasisCache().family(n, k, space, min_index=m0 + 30, min_prec=20)
+        fam.element(m0)
+        fam.element(m0 + 1)     # expands first, psi and g, once for the whole walk
+        products = []
+        mul = QSeries.__mul__
+        monkeypatch.setattr(QSeries, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        for m in range(m0 + 2, m0 + 31):
+            fam.element(m)
+        assert len(products) <= 29
+
+    def test_sparse_scan_makes_under_half_the_products(self, monkeypatch):
+        # coefficient products, counted from the operand lengths as the
+        # benchmark counts them; a fresh process running this scan with a table
+        # of first * psi^i for every i up to 324 made 88,766,292
+        counted = []
+        convolve = series._convolve
+
+        def counting(a, b, out_len):
+            counted.append(sum(max(0, min(len(b), out_len - i))
+                               for i in range(min(len(a), out_len))))
+            return convolve(a, b, out_len)
+
+        monkeypatch.setattr(series, "_convolve", counting)
+        rows, report = congruence_scan(18, 3, 4, 4, cache=BasisCache())
+        assert report.passed and len(rows) == 225
+        assert 2 * sum(counted) < 88_766_292
 
 
 class TestFirstSeriesSizing:

@@ -31,6 +31,16 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "q^-1 - 6q - 8q^2 + 9q^3"
 
+    def test_first_element_known_past_its_gap(self, capsys):
+        # element m0 = -24 has its pivot at q^24, past the default precision
+        argv = ("expand", "--level", "12", "--weight", "12", "--m", "-24", "--no-cache-dir")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, wide, _ = run_cli(capsys, *argv, "--prec", "40")
+        assert code == 0
+        assert out == wide and out.startswith("q^24 - 12q^26 + ")
+        assert out.count("q^") == 8
+
     def test_unsupported_level_is_usage_error(self, capsys):
         code = main(["expand", "--level", "7", "--weight", "0", "--m", "1", "--no-cache-dir"])
         capsys.readouterr()

@@ -80,6 +80,17 @@ class TestAddSub:
         assert (a + b).prec == 7
         assert (a - b).prec == 7
 
+    def test_scalar_is_unknown_below_q0(self):
+        # a series known only below q^0 does not know its constant term
+        s = QSeries(-1, (1,), 0)
+        for t in (s + 5, 5 + s, s - Fraction(1, 2)):
+            assert (t.valuation, t.coeffs, t.prec) == (-1, (1,), 0)
+        assert QSeries.zero(0) == 7 and QSeries.zero(-2) + 3 == 0
+        assert QSeries.one(1) == 1 and not QSeries.one(1) == 2
+        data = get_level(6)
+        psi = data.hauptmodul_quotient.series(0) + data.hauptmodul_shift
+        assert (psi.valuation, psi.coeffs, psi.prec) == (-1, (1,), 0)
+
 
 class TestMul:
     def test_square_of_hauptmodul_head(self):
@@ -268,6 +279,15 @@ class TestExactness:
         assert again.coeffs == s.coeffs
         assert again.valuation == s.valuation and again.prec == s.prec
         assert s.to_json()["coeffs"] == ["25/216", "-3", "-1/2"]
+
+    def test_json_integers_parse_as_int(self):
+        s = QSeries(0, [7, Fraction(-7, 2), 10 ** 40], 5)
+        again = QSeries.from_json(s.to_json())
+        assert again.coeffs == s.coeffs
+        assert [type(c) for c in again.coeffs] == [int, Fraction, int]
+        for bad in ("2x", "1/0", ""):
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                QSeries.from_json({"valuation": 0, "prec": 2, "coeffs": ["1", bad]})
 
     def test_int_normalization(self):
         s = QSeries(0, [Fraction(4, 2)], 1)

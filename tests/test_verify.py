@@ -130,11 +130,13 @@ class TestAlIdentity:
 
     def test_refuses_a_bad_generator_before_any_row(self, monkeypatch):
         rows_read = []
-        element = _Family.element
+        element, rows = _Family.element, _Family.rows
         monkeypatch.setattr(LevelData, "aux_alt_series",
                             lambda self, p, prec: QSeries(-1, [2, 0, 1], prec))
         monkeypatch.setattr(_Family, "element",
                             lambda fam, m: rows_read.append(m) or element(fam, m))
+        monkeypatch.setattr(_Family, "rows",
+                            lambda fam, ms, *rest: rows_read.extend(ms) or rows(fam, ms, *rest))
         with pytest.raises(ValueError, match="generator must have expansion"):
             al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
         assert rows_read == []
@@ -156,12 +158,14 @@ class TestAlIdentity:
 
     def test_refuses_an_alt_that_is_not_psi_plus_a_constant(self, monkeypatch, capsys):
         rows_read = []
-        element = _Family.element
+        element, rows = _Family.element, _Family.rows
         haupt = LevelData.hauptmodul_series
         monkeypatch.setattr(LevelData, "aux_alt_series",
                             lambda self, p, prec: haupt(self, prec) + QSeries.monomial(1, 1, prec))
         monkeypatch.setattr(_Family, "element",
                             lambda fam, m: rows_read.append(m) or element(fam, m))
+        monkeypatch.setattr(_Family, "rows",
+                            lambda fam, ms, *rest: rows_read.extend(ms) or rows(fam, ms, *rest))
         with pytest.raises(NoConsistentSign, match="not psi"):
             al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
         assert rows_read == []
