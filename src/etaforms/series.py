@@ -3,7 +3,14 @@
 A :class:`QSeries` stores coefficients for exponents ``valuation`` through
 ``prec - 1``; exponents at or beyond ``prec`` are *unknown*, not zero.  All
 coefficients are exact: Python ints, or ``fractions.Fraction`` when a
-denominator survives.  No floating point is accepted anywhere.
+denominator survives.  No floating point is accepted anywhere.  The
+constructor normalizes only when some coefficient is not a plain int.
+
+Every series product goes through one kernel, :func:`_convolve`: it clears
+denominators, packs each operand into one big integer by Kronecker
+substitution and multiplies once with CPython's big-integer product, so the
+result is exact and equals the schoolbook Cauchy product coefficient for
+coefficient.
 
 Series are immutable and all operations are pure, so values may be shared
 freely between threads.
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import PrecisionExceeded, ZeroLeadingTerm
@@ -48,7 +55,10 @@ class QSeries:
     __slots__ = ("valuation", "coeffs", "prec")
 
     def __init__(self, valuation: int, coeffs: Iterable[Coeff], prec: int):
-        coeffs = [normalize_coeff(c) for c in coeffs]
+        coeffs = tuple(coeffs)
+        # one type scan: kernel output and truncations hold plain ints already
+        if not {int}.issuperset(map(type, coeffs)):
+            coeffs = tuple(map(normalize_coeff, coeffs))
         # Canonical form: strip leading and trailing zeros; a series that is
         # zero to precision is stored as (valuation=prec, coeffs=()).
         lead = 0
@@ -64,7 +74,7 @@ class QSeries:
         if not coeffs:
             valuation = prec
         object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
@@ -162,18 +172,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
-        if self.is_zero() and other.is_zero():
-            return QSeries.zero(prec)
-        lo = min(self.valuation, other.valuation)
+        lo = min(self.valuation, other.valuation)      # <= prec: a zero series sits at its prec
         out = [0] * (prec - lo)
-        for i, c in enumerate(self.coeffs):
-            e = self.valuation + i
-            if e < prec:
-                out[e - lo] = c
-        for i, c in enumerate(other.coeffs):
-            e = other.valuation + i
-            if e < prec:
-                out[e - lo] += c
+        for s in (self, other):
+            kept = s.coeffs[:max(prec - s.valuation, 0)]
+            i = s.valuation - lo
+            out[i:i + len(kept)] = [x + c for x, c in zip(out[i:], kept)]
         return QSeries(lo, out, prec)
 
     __radd__ = __add__
@@ -268,17 +272,15 @@ class QSeries:
             raise ValueError("dilation factor must be >= 1")
         if d == 1:
             return self
-        out = [0] * (d * (len(self.coeffs) - 1) + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[d * i] = c
+        out = [0] * (d * len(self.coeffs))
+        out[::d] = self.coeffs
         return QSeries(d * self.valuation, out, d * self.prec)
 
     def truncated(self, prec: int) -> "QSeries":
         """Forget coefficients at exponents >= prec."""
         if prec >= self.prec:
             return self
-        kept = [c for i, c in enumerate(self.coeffs) if self.valuation + i < prec]
-        return QSeries(min(self.valuation, prec), kept, prec)
+        return QSeries(min(self.valuation, prec), self.coeffs[:max(prec - self.valuation, 0)], prec)
 
     def termwise(self, fn) -> "QSeries":
         """Map (exponent, coefficient) -> coefficient over known terms."""
@@ -296,6 +298,8 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
+        if type(data["coeffs"]) is not list:
+            raise TypeError("coefficients must be a list")
         return QSeries(data["valuation"], data["coeffs"], data["prec"])
 
     def pretty(self, max_terms: int | None = None) -> str:
@@ -366,16 +370,38 @@ def _progression(c) -> tuple[int | None, int]:
     return first, step
 
 
+def _integral(c) -> tuple:
+    """(the integers c * L, L) for L the lcm of c's denominators; (c, 1) when c holds no Fraction."""
+    if Fraction not in set(map(type, c)):
+        return c, 1
+    den = lcm(*[x.denominator for x in c])
+    return [x.numerator * (den // x.denominator) for x in c], den
+
+
 def _convolve(a, b, out_len):
-    """Truncated schoolbook Cauchy product of two coefficient tuples.
+    """Truncated Cauchy product of two coefficient sequences, by exact Kronecker substitution.
 
     Levels 12 and 18 carry arithmetic-progression supports: every nonzero
     entry of an operand sits at its first nonzero index plus a multiple of its
     step.  The product of two such operands is supported on the progression
-    with the gcd d of the two steps, so the loop runs on the slices ``a[fa::d]``
-    and ``b[fb::d]`` and scatters into ``out[fa+fb::d]``; only products with a
-    zero factor are skipped.  The outer loop runs over the operand with fewer
-    nonzero entries.  Grouping of the exact additions does not affect results.
+    with the gcd d of the two steps, so the kernel multiplies the slices
+    ``a[fa::d]`` and ``b[fb::d]``, each cut to the n slots the output keeps,
+    and scatters into ``out[fa+fb::d]``.
+
+    Denominators are cleared first: each operand is scaled by the lcm of its
+    own, and each output coefficient is divided once by the product of the two.
+    The integer slices are then multiplied by Kronecker substitution (Harvey,
+    J. Symb. Comput. 44 (2009), arXiv:0712.4046): each is packed into one big
+    integer, one little-endian slot of W bytes per coefficient, biased by
+    half = 2^(8W-1) so that every slot is nonnegative, and the bias is
+    subtracted as one packed constant.  An output coefficient is a sum of at
+    most min(len a, len b) products, so its magnitude is below
+    2^(bits(max|a|) + bits(max|b|) + bits(min(len a, len b))), and W is sized
+    so that this stays below half with a bit to spare: one CPython big-integer
+    product then holds every coefficient in its own slot.  The bias is added
+    back over the n slots kept, the slots past them are masked off, and each
+    slot is read with ``int.from_bytes``.  Unpacking is linear; it never uses
+    ``%``, shifts or ``str``.
     """
     out = [0] * max(out_len, 0)
     fa, sa = _progression(a)
@@ -383,21 +409,26 @@ def _convolve(a, b, out_len):
     if fa is None or fb is None or fa + fb >= out_len:
         return out
     d = gcd(sa, sb) or 1        # two monomials: any step will do
-    a = a[fa::d]
-    b = b[fb::d]
     n = -(-(out_len - fa - fb) // d)
-    if sum(1 for c in b if c) < sum(1 for c in a if c):
-        a, b = b, a
-    sub = [0] * n
-    len_b = len(b)
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        top = n - i
-        bs = b if top >= len_b else b[:top]
-        j = i + len(bs)
-        sub[i:j] = [x + ai * y for x, y in zip(sub[i:j], bs)]
+    square = a is b
+    a, da = _integral(a[fa::d][:n])
+    b, db = (a, da) if square else _integral(b[fb::d][:n])
+    # slot bytes: 8 * width >= bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2
+    width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+             + min(len(a), len(b)).bit_length() + 9) // 8
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(c):
+        return (int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in c]), "little")
+                - int.from_bytes(slot * len(c), "little"))
+
+    pa = pack(a)
+    prod = pa * (pa if square else pack(b))
+    size = n * width
+    raw = ((prod + int.from_bytes(slot * n, "little")) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    sub = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, size, width)]
+    if da * db != 1:
+        sub = [normalize_coeff(Fraction(c, da * db)) for c in sub]
     out[fa + fb::d] = sub
     return out

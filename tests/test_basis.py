@@ -350,6 +350,9 @@ class TestCachePersistence:
         pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}}}', id="version-only"),
         pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}, "reach": 36, '
                      '"elements": {"4": {"coeffs": ["x"], "poly": []}}}', id="bad-coefficient"),
+        pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}, "reach": 36, '
+                     '"elements": {"4": {"valuation": -4, "prec": 40, "coeffs": "1000000000", '
+                     '"poly": []}}}', id="coeffs-as-string"),
         pytest.param(f'{{"format_version": {CACHE_FORMAT_VERSION}, "reach": "36", '
                      '"elements": {}}', id="reach-not-an-int")])
     def test_schema_errors_are_misses(self, tmp_path, capsys, doc):

@@ -1,5 +1,6 @@
 """Tests for the exact Laurent-series kernel."""
 
+import itertools
 import random
 import sys
 import threading
@@ -172,6 +173,86 @@ class TestConvolveKernel:
     def test_edge_cases(self, a, b, out_len):
         assert _convolve(a, b, out_len) == naive_convolve(a, b, out_len)
 
+    @staticmethod
+    def extremes(k):
+        """Coefficients of exactly k bits at the edges: +-(2^k - 1), -2^k, +-2^(k-1)."""
+        top = (1 << k) - 1
+        return [top, -top, -(1 << k), 1 << (k - 1), -(1 << (k - 1))]
+
+    def test_signed_coefficients_of_1_to_1100_bits(self):
+        rng = random.Random(31)
+        for k in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200, 511, 512, 513, 1023, 1024, 1100):
+            for _ in range(3):
+                a = tuple(rng.choice(self.extremes(k) + [0, rng.randint(-(1 << k), 1 << k)])
+                          for _ in range(rng.randint(1, 24)))
+                kb = rng.randint(1, 1100)
+                b = tuple(rng.choice(self.extremes(kb) + [rng.randint(-(1 << kb), 1 << kb)])
+                          for _ in range(rng.randint(1, 24)))
+                out_len = rng.randint(1, len(a) + len(b))
+                assert _convolve(a, b, out_len) == naive_convolve(a, b, out_len)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33])
+    def test_one_signed_operands_reach_the_slot_bound(self, length):
+        # every product in a slot has the same sign, so the middle slot sums
+        # length * (2^ka - 1) * (2^kb - 1), as close to the bound as it gets;
+        # eight consecutive kb put the bound at every offset within a byte
+        for ka, kb in itertools.product((1, 64, 1100), (*range(1, 9), *range(1093, 1101))):
+            top_a, top_b = (1 << ka) - 1, (1 << kb) - 1
+            for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                a = (sa * top_a,) * length
+                b = (sb * top_b,) * length
+                want = naive_convolve(a, b, 2 * length - 1)
+                assert want[length - 1] == sa * sb * length * top_a * top_b
+                assert _convolve(a, b, 2 * length - 1) == want
+                a = (sa * (1 << ka),) * length      # -2^k has k + 1 bits
+                assert _convolve(a, b, 2 * length - 1) == naive_convolve(a, b, 2 * length - 1)
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    def test_strides_and_short_outputs(self, step):
+        rng = random.Random(step)
+        for _ in range(40):
+            a = list(progression_coeffs(rng, rng.randint(10, 60), step, rng.randint(0, 4)))
+            b = list(progression_coeffs(rng, rng.randint(10, 60), step, rng.randint(0, 4)))
+            for c in (a, b):
+                for i, x in enumerate(c):
+                    c[i] = x << rng.randint(0, 300)
+            out_len = rng.randint(1, min(len(a), len(b)) - 1)
+            assert _convolve(tuple(a), tuple(b), out_len) == naive_convolve(a, b, out_len)
+
+    def test_fraction_operands_with_large_coprime_denominators(self):
+        rng = random.Random(5)
+        dens = [2 ** 61 - 1, 3 ** 40, 5 ** 30, 7, 10 ** 30 + 57]
+        for _ in range(30):
+            a = tuple(Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.choice(dens))
+                      if rng.random() < 0.5 else rng.randint(-10 ** 20, 10 ** 20)
+                      for _ in range(rng.randint(1, 20)))
+            b = tuple(Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 20)))
+            out_len = rng.randint(1, 40)
+            got = _convolve(a, b, out_len)
+            assert got == naive_convolve(a, b, out_len)
+            assert all(type(c) is int or c.denominator > 1 for c in got)
+
+    def test_product_types_match_the_schoolbook_product(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            a = random_series(rng, prec=24, rational=True)
+            b = random_series(rng, prec=24, rational=rng.random() < 0.5)
+            b = b.scalar_mul(rng.choice([1, 2, 6, Fraction(1, 3)]))
+            fast, slow = a * b, naive_product(a, b)
+            assert (fast.valuation, fast.coeffs, fast.prec) == (slow.valuation, slow.coeffs, slow.prec)
+            assert [type(c) for c in fast.coeffs] == [type(c) for c in slow.coeffs]
+
+    def test_level6_worst_case_shape(self):
+        # psi^200 * psi at 733 terms: coefficients near 1000 bits against
+        # about 400, the widest slots a congruence scan packs
+        psi = get_level(6).hauptmodul_series(732)
+        power = psi ** 200
+        assert len(power.coeffs) == len(psi.coeffs) == 733
+        got = power * psi
+        n = got.prec - got.valuation
+        assert n == 733
+        assert got.coeffs == tuple(naive_convolve(power.coeffs, psi.coeffs, n))
+
     def test_level18_powers_match_dense_reference(self):
         # level 18's psi lives on exponents = 2 mod 3, so its powers do too
         psi = get_level(18).hauptmodul_series(240)
@@ -292,6 +373,21 @@ class TestExactness:
     def test_int_normalization(self):
         s = QSeries(0, [Fraction(4, 2)], 1)
         assert s.coeff(0) == 2 and isinstance(s.coeff(0), int)
+
+    @pytest.mark.parametrize("entry, want", [
+        (True, 1), (False, 0), (Fraction(4, 2), 2), ("3/2", Fraction(3, 2))])
+    def test_non_int_entry_among_ints_is_normalized(self, entry, want):
+        s = QSeries(0, [5, entry, 7, -1, 9], 5)
+        assert s.coeffs == (5, want, 7, -1, 9)
+        assert [type(c) for c in s.coeffs] == [int, type(want), int, int, int]
+        assert s.truncated(3).coeffs == (5, want, 7)
+        mixed = QSeries(0, [5, True, 7, Fraction(4, 2), -1, "3/2", False, 9], 8)
+        assert [type(c) for c in mixed.coeffs] == [int] * 5 + [Fraction, int, int]
+
+    @pytest.mark.parametrize("coeffs", ["123", {"1": 0}, ("1", "2"), None])
+    def test_json_coefficients_must_be_a_list(self, coeffs):
+        with pytest.raises(TypeError):
+            QSeries.from_json({"valuation": -1, "prec": 3, "coeffs": coeffs})
 
 
 class TestReindexing:
