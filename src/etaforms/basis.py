@@ -41,12 +41,11 @@ import operator
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from itertools import islice
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation, PrecisionExceeded
 from .leveldata import LevelData, get_level
-from .series import QSeries, _convolve, _progression, normalize_coeff
+from .series import QSeries, _convolve, _progression, normalize_coeff, parse_coeffs
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -54,14 +53,26 @@ S_SPACE = "S"
 CACHE_FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
 class BasisElement:
+    __slots__ = ("level", "weight", "index", "space", "expansion", "haupt_poly")
+
     level: int
     weight: int
     index: int                  # pole order m at infinity
     space: str                  # "M" or "S"
     expansion: QSeries
     haupt_poly: tuple           # P, ascending; element = first M-space element * P(psi)
+
+    def __init__(self, level, weight, index, space, expansion, haupt_poly):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "expansion", expansion)
+        object.__setattr__(self, "haupt_poly", haupt_poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisElement is immutable")
 
     def coeff(self, n: int):
         return self.expansion.coeff(n)
@@ -360,10 +371,10 @@ class BasisCache:
                 fam.elements[m] = BasisElement(
                     level=data.N, weight=k, index=m, space=space,
                     expansion=QSeries.from_json(e),
-                    haupt_poly=tuple(normalize_coeff(c) for c in e["poly"]))
-        except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError) as err:
-            # a parse or schema error costs a recomputation, and the next
-            # save replaces the file
+                    haupt_poly=tuple(parse_coeffs(e["poly"])))
+        except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError) as err:
+            # a file that cannot be read or parsed, or breaks the schema,
+            # costs a recomputation, and the next save replaces it if it can
             print(f"warning: ignoring unreadable cache file {path} "
                   f"({type(err).__name__}: {err})", file=sys.stderr)
             return None

@@ -37,16 +37,6 @@ from .errors import (
     UnsupportedPair,
 )
 from .leveldata import SUPPORTED_LEVELS, validate_level
-from .verify import (
-    admissible_residues,
-    al_identity_check,
-    congruence_scan,
-    duality_check,
-    genfun_check,
-    rows_to_csv,
-    theta_check,
-    up_lemma_check,
-)
 
 FIXTURE_VERSION = 2
 
@@ -55,6 +45,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_PRECISION = 4
+
+# The checks load on demand, in cmd_verify and cmd_scan.  Their names stay
+# attributes of this module, as perfbench/selftest.py reads them here.
+_VERIFY_NAMES = ("admissible_residues", "al_identity_check", "congruence_scan", "duality_check",
+                 "genfun_check", "rows_to_csv", "theta_check", "up_lemma_check")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _USAGE_ERRORS = (UnsupportedLevel, UnsupportedPair, IndexBelowRange, ValueError)
 _INTEGRITY_ERRORS = (IntegralityViolation, FractionalValuation, MixedWeight, NoConsistentSign)
@@ -110,8 +113,12 @@ def _resolve_cache(args) -> BasisCache:
 
 
 def _persist(cache: BasisCache) -> None:
+    """Save the cache; a file it cannot write costs a warning, not the command's result."""
     if cache.directory:
-        cache.save()
+        try:
+            cache.save()
+        except OSError as err:
+            print(f"warning: basis cache not saved ({type(err).__name__}: {err})", file=sys.stderr)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -166,19 +173,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     cache = _resolve_cache(args)
     if args.check == "duality":
-        report = duality_check(args.level, args.weight, args.window,
-                               args.nwindow or args.window * 2, cache=cache)
+        report = verify.duality_check(args.level, args.weight, args.window,
+                                      args.nwindow or args.window * 2, cache=cache)
     elif args.check == "genfun":
-        report = genfun_check(args.level, args.weight, args.mmax, args.zprec, cache=cache)
+        report = verify.genfun_check(args.level, args.weight, args.mmax, args.zprec, cache=cache)
     elif args.check == "theta":
-        report = theta_check(args.level, args.mmax, cache=cache)
+        report = verify.theta_check(args.level, args.mmax, cache=cache)
     elif args.check == "uplemma":
-        report = up_lemma_check(args.level, args.mmax, args.zero_window, cache=cache)
+        report = verify.up_lemma_check(args.level, args.mmax, args.zero_window, cache=cache)
     elif args.check == "al":
         r_set = _parse_int_list(args.rset) if args.rset else [1, 5, 7]
-        report = al_identity_check(args.level, args.p, r_set, args.amax, cache=cache)
+        report = verify.al_identity_check(args.level, args.p, r_set, args.amax, cache=cache)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown check {args.check}")
     doc = _document(
@@ -193,11 +201,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import verify
     cache = _resolve_cache(args)
-    r_set = _parse_int_list(args.rset) if args.rset else admissible_residues(args.p)
-    s_set = _parse_int_list(args.sset) if args.sset else admissible_residues(args.p)
-    rows, report = congruence_scan(args.level, args.p, args.amax, args.bmax,
-                                   r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
+    r_set = _parse_int_list(args.rset) if args.rset else verify.admissible_residues(args.p)
+    s_set = _parse_int_list(args.sset) if args.sset else verify.admissible_residues(args.p)
+    rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax,
+                                          r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
     if args.require_weak:
         if (args.level, args.p) not in ((18, 2), (12, 3)):
             print(f"error: no weak congruence case for level {args.level}, p = {args.p}",
@@ -212,7 +221,7 @@ def cmd_scan(args) -> int:
         {"pass": report.passed, "failures": report.details["failures"],
          "precision": report.precision},
     )
-    _emit(doc, report.render_text(), args, rows_to_csv(rows))
+    _emit(doc, report.render_text(), args, verify.rows_to_csv(rows))
     _persist(cache)
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -9,7 +9,6 @@ is not an integer can still be inspected and reported instead of crashing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -72,18 +71,19 @@ def eta_unit(delta: int, prec: int) -> QSeries:
     return deepest(_units, delta, prec, lambda p: euler_product(-(-p // delta)).dilated(delta))
 
 
-@dataclass(frozen=True)
 class EtaQuotient:
     """scalar * product of eta(delta*z)^r, attached to a level N.
 
     ``factors`` maps delta -> nonzero integer exponent.  Deltas are not
     required to divide the level here; :func:`ligozat_order` enforces that
-    where the cusp formula needs it.
+    where the cusp formula needs it.  Immutable; equal quotients hash alike.
     """
+
+    __slots__ = ("level", "factors", "scalar")
 
     level: int
     factors: tuple[tuple[int, int], ...]
-    scalar: Fraction = Fraction(1)
+    scalar: Fraction
 
     def __init__(self, level: int, factors, scalar=Fraction(1)):
         if isinstance(factors, dict):
@@ -101,6 +101,20 @@ class EtaQuotient:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "factors", cleaned)
         object.__setattr__(self, "scalar", Fraction(scalar))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EtaQuotient is immutable")
+
+    def _key(self) -> tuple:
+        return (self.level, self.factors, self.scalar)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def weight(self) -> Fraction:
         return Fraction(sum(r for _, r in self.factors), 2)
@@ -139,9 +153,10 @@ class EtaQuotient:
         return format_eta_quotient(self)
 
 
-@dataclass(frozen=True)
 class EtaCombination:
     """A rational linear combination of eta quotients (scalars live on terms)."""
+
+    __slots__ = ("terms",)
 
     terms: tuple[EtaQuotient, ...]
 
@@ -150,6 +165,9 @@ class EtaCombination:
         if not terms:
             raise ValueError("eta combination needs at least one term")
         object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EtaCombination is immutable")
 
     def weight(self) -> Fraction:
         weights = {t.weight() for t in self.terms}

@@ -10,7 +10,6 @@ failure they cause is reproducible.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -28,7 +27,6 @@ from .series import QSeries, deepest
 SUPPORTED_LEVELS = (6, 10, 12, 18)
 
 
-@dataclass(frozen=True)
 class E2Combination:
     """Rational combination of weight-2 Eisenstein differences e2(t).
 
@@ -36,7 +34,15 @@ class E2Combination:
     weight-2 slot).
     """
 
+    __slots__ = ("terms",)
+
     terms: tuple[tuple[Fraction, int], ...]    # (scale factor, t)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("E2Combination is immutable")
 
     def weight(self) -> Fraction:
         return Fraction(2)
@@ -48,16 +54,26 @@ class E2Combination:
         return total
 
 
-@dataclass(frozen=True)
 class WeightForm:
+    __slots__ = ("weight", "vanishing", "combination")
+
     weight: int
     vanishing: int                      # order of vanishing at infinity
     combination: EtaCombination | E2Combination
 
+    def __init__(self, weight, vanishing, combination):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "combination", combination)
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightForm is immutable")
+
+
 class AuxData:
     """Involution machinery for one prime dividing the level."""
+
+    __slots__ = ("p", "scale", "sign", "pole_cusp", "alt", "cusp")
 
     p: int
     scale: int                          # magnitude of the involution rescaling
@@ -66,17 +82,43 @@ class AuxData:
     alt: EtaQuotient                    # alternative weight-0 generator, q^-1 + O(1)
     cusp: EtaQuotient                   # companion with the pole at `pole_cusp`
 
+    def __init__(self, p, scale, sign, pole_cusp, alt, cusp):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "pole_cusp", pole_cusp)
+        object.__setattr__(self, "alt", alt)
+        object.__setattr__(self, "cusp", cusp)
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise AttributeError("AuxData is immutable")
+
+
 class LevelData:
+    __slots__ = ("N", "hauptmodul_quotient", "hauptmodul_shift", "weight_forms", "cusp_poly",
+                 "aux", "_expansions")
+
     N: int
     hauptmodul_quotient: EtaQuotient
     hauptmodul_shift: Fraction
     weight_forms: dict[int, WeightForm]
     cusp_poly: tuple[int, ...]          # ascending integer coefficients
-    aux: dict[int, AuxData] = field(default_factory=dict)
+    aux: dict[int, AuxData]
     # deepest expansion of each kind, per instance so overridden variants never mix
-    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _expansions: dict
+
+    def __init__(self, N, hauptmodul_quotient, hauptmodul_shift, weight_forms, cusp_poly,
+                 aux=None):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "hauptmodul_quotient", hauptmodul_quotient)
+        object.__setattr__(self, "hauptmodul_shift", hauptmodul_shift)
+        object.__setattr__(self, "weight_forms", weight_forms)
+        object.__setattr__(self, "cusp_poly", cusp_poly)
+        object.__setattr__(self, "aux", {} if aux is None else aux)
+        object.__setattr__(self, "_expansions", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LevelData is immutable")
 
     # -- deduced structure -------------------------------------------------
 
@@ -274,18 +316,30 @@ def uncorrected_weight_form(n: int) -> EtaCombination:
 # ----------------------------------------------------------------------
 # validation
 
-@dataclass
 class ValidationCheck:
+    __slots__ = ("name", "passed", "detail")
+
     name: str
     passed: bool
     detail: str
 
+    def __init__(self, name, passed, detail):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
-@dataclass
+
 class ValidationReport:
+    __slots__ = ("level", "prec", "checks")
+
     level: int
     prec: int
     checks: list[ValidationCheck]
+
+    def __init__(self, level, prec, checks):
+        self.level = level
+        self.prec = prec
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

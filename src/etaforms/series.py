@@ -21,11 +21,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Union
 
 from .errors import PrecisionExceeded, ZeroLeadingTerm
 
-Coeff = Union[int, Fraction]
+Coeff = (int, Fraction)
 
 #: Default number of known terms beyond the valuation for expansions that do
 #: not receive an explicit precision.
@@ -47,6 +46,17 @@ def normalize_coeff(value) -> Coeff:
         except ValueError:
             return normalize_coeff(Fraction(value))
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}: {value!r}")
+
+
+def parse_coeffs(values) -> list:
+    """``normalize_coeff`` of each value, as one ``int`` pass when every value
+    is a string that ``int`` reads, as a cache file's integers are."""
+    if {str}.issuperset(map(type, values)):
+        try:
+            return list(map(int, values))
+        except ValueError:
+            pass
+    return list(map(normalize_coeff, values))
 
 
 class QSeries:
@@ -298,9 +308,10 @@ class QSeries:
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
-        if type(data["coeffs"]) is not list:
+        coeffs = data["coeffs"]
+        if type(coeffs) is not list:
             raise TypeError("coefficients must be a list")
-        return QSeries(data["valuation"], data["coeffs"], data["prec"])
+        return QSeries(data["valuation"], parse_coeffs(coeffs), data["prec"])
 
     def pretty(self, max_terms: int | None = None) -> str:
         """Human form like ``q^-1 + 6q + 4q^2 - 3q^3``."""
@@ -354,20 +365,30 @@ def _progression(c) -> tuple[int | None, int]:
     """(index of the first nonzero entry, gcd of the gaps between nonzero entries).
 
     The first index is None for an all-zero ``c`` and the step is 0 when ``c``
-    has at most one nonzero entry.  The scan stops once the step is 1, so a
-    dense operand costs O(1).
+    has at most one nonzero entry.  The step divides the gap between the first
+    two nonzero entries: it is the largest divisor s of that gap for which
+    every slice ``c[first + r::s]``, 0 < r < s, is all zero.  Only the entries
+    up to the second nonzero one are visited one by one; the slices are
+    scanned at C speed, and a dense operand costs O(1).
     """
-    first = None
-    step = 0
-    for i, x in enumerate(c):
-        if x:
-            if first is None:
-                first = i
-            else:
-                step = gcd(step, i - first)
-                if step == 1:
-                    break
-    return first, step
+    n = len(c)
+    first = 0
+    while first < n and not c[first]:
+        first += 1
+    second = first + 1
+    while second < n and not c[second]:
+        second += 1
+    if second >= n:
+        return (first if first < n else None), 0
+    gap = second - first
+    for s in range(gap, 1, -1):
+        if not gap % s:
+            r = 1
+            while r < s and not any(c[first + r::s]):
+                r += 1
+            if r == s:
+                return first, s
+    return first, 1
 
 
 def _integral(c) -> tuple:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from dataclasses import dataclass, field
 from math import gcd
 
 from .basis import BasisCache, _extend_powers, _substitute, default_cache
@@ -21,15 +20,26 @@ from .operators import theta, u_p
 from .series import QSeries
 
 
-@dataclass
 class CheckReport:
+    __slots__ = ("name", "params", "passed", "window", "counterexamples", "precision", "details")
+
     name: str
     params: dict
     passed: bool
     window: str
-    counterexamples: list = field(default_factory=list)
-    precision: int = 0
-    details: dict = field(default_factory=dict)
+    counterexamples: list
+    precision: int
+    details: dict
+
+    def __init__(self, name, params, passed, window, counterexamples=None, precision=0,
+                 details=None):
+        self.name = name
+        self.params = params
+        self.passed = passed
+        self.window = window
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.precision = precision
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {
@@ -55,8 +65,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-@dataclass
 class ValuationRow:
+    CSV_HEADER = ("N", "p", "a", "b", "r", "s", "m", "n", "coeff", "valuation", "bound", "status")
+    __slots__ = CSV_HEADER      # one field per column
+
     N: int
     p: int
     a: int
@@ -70,7 +82,19 @@ class ValuationRow:
     bound: int | None            # None when the theorems claim nothing
     status: str                  # "pass" | "fail" | "no claim"
 
-    CSV_HEADER = ("N", "p", "a", "b", "r", "s", "m", "n", "coeff", "valuation", "bound", "status")
+    def __init__(self, N, p, a, b, r, s, m, n, coeff, valuation, bound, status):
+        self.N = N
+        self.p = p
+        self.a = a
+        self.b = b
+        self.r = r
+        self.s = s
+        self.m = m
+        self.n = n
+        self.coeff = coeff
+        self.valuation = valuation
+        self.bound = bound
+        self.status = status
 
     def csv_row(self) -> tuple:
         return (self.N, self.p, self.a, self.b, self.r, self.s, self.m, self.n,

@@ -1,6 +1,5 @@
 """Tests for canonical basis construction."""
 
-import dataclasses
 import json
 import os
 import random
@@ -25,7 +24,7 @@ from etaforms.basis import (
 )
 from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExceeded
 from etaforms.eta import EtaQuotient
-from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
+from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, WeightForm, get_level
 from etaforms.series import QSeries
 from etaforms.verify import congruence_scan, theta_check
 
@@ -99,6 +98,14 @@ class TestFirstElement:
     def test_level10_negative_weight(self, cache):
         e = first_element(10, -2, "M", cache=cache)
         assert e.index == 4 and e.expansion.valuation == -4
+
+    def test_element_is_immutable(self, cache):
+        e = first_element(6, 2, "M", cache=cache)
+        with pytest.raises(AttributeError):
+            e.index = 5
+        with pytest.raises(AttributeError):
+            e.expansion = QSeries.one(4)
+        assert e.index == -2
 
     def test_odd_weight_rejected(self, cache):
         with pytest.raises(ValueError):
@@ -538,8 +545,9 @@ class TestFirstSeriesSizing:
     def test_overstated_vanishing_fails_loudly(self, n):
         data = get_level(n)
         form = data.weight_forms[2]
-        forms = {**data.weight_forms, 2: dataclasses.replace(form, vanishing=form.vanishing + 1)}
-        wrong = dataclasses.replace(data, weight_forms=forms)
+        forms = {**data.weight_forms, 2: WeightForm(form.weight, form.vanishing + 1, form.combination)}
+        wrong = LevelData(data.N, data.hauptmodul_quotient, data.hauptmodul_shift, forms,
+                          data.cusp_poly, data.aux)
         for k in (-2, 2, 6):
             for space in ("M", "S"):
                 fam = basis._Family(wrong, k, space, 40)

@@ -244,6 +244,20 @@ class TestValidateAndCache:
         assert warm == cold
         assert path.read_bytes() == whole
 
+    def test_cache_path_that_cannot_be_opened_is_a_warned_miss(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "basis_N6_k0_M.json").mkdir(parents=True)
+        argv = ["expand", "--level", "6", "--weight", "0", "--m", "1", "--terms", "4"]
+        code, warm, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0
+        load, save = err.splitlines()
+        assert load.startswith("warning: ignoring unreadable cache file")
+        assert save.startswith("warning: basis cache not saved")
+        code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+        assert os.listdir(cache_dir) == ["basis_N6_k0_M.json"]      # no *.tmp left behind
+
     def test_restored_family_serves_a_new_prime(self, capsys, tmp_path):
         # the p=2 scan reads families that two p=3 scans left on disk
         cache_dir = str(tmp_path / "cache")
@@ -297,6 +311,32 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *theta, "--cache-dir", cache_dir)
         assert code == 0
         assert warm == cold
+
+
+STARTUP_PROBE = """
+import json, sys
+import etaforms.cli
+def loaded():
+    return [m for m in ("dataclasses", "inspect", "etaforms.verify") if m in sys.modules]
+states = [loaded()]
+etaforms.cli.main(["expand", "--level", "6", "--weight", "0", "--m", "1", "--no-cache-dir"])
+states.append(loaded())
+etaforms.cli.main(["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1",
+                   "--ncap", "20", "--no-cache-dir"])
+states.append(loaded())
+print(json.dumps(states))
+"""
+
+
+def test_startup_loads_checks_only_on_demand():
+    # -S: no site packages, so nothing but etaforms can import dataclasses
+    src = os.path.dirname(os.path.dirname(etaforms.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    at_import, after_expand, after_scan = json.loads(result.stdout.splitlines()[-1])
+    assert at_import == [] and after_expand == []
+    assert "etaforms.verify" in after_scan
 
 
 def test_console_entry_point():

@@ -170,6 +170,18 @@ class TestParser:
         assert eq.scalar == Fraction(-11, 144)
         assert dict(eq.factors) == {1: 3, 18: -5}
 
+    def test_equality_and_hash_are_by_value(self):
+        eq = EtaQuotient(6, {2: 8, 1: -4, 3: 4, 6: -8})
+        assert eq == PSI6_QUOT and eq is not PSI6_QUOT
+        assert hash(eq) == hash(PSI6_QUOT) == hash((6, ((1, -4), (2, 8), (3, 4), (6, -8)),
+                                                     Fraction(1)))
+        assert eq != EtaQuotient(6, eq.factors, Fraction(2))
+        assert eq != EtaQuotient(12, eq.factors)
+        assert eq != eq.factors and len({eq, PSI6_QUOT}) == 1
+        with pytest.raises(AttributeError):
+            eq.scalar = Fraction(2)
+        assert eq.scalar == 1
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_eta_quotient("eta(x)^2", 6)

@@ -1,6 +1,5 @@
 """Tests for the per-level constant registry."""
 
-import dataclasses
 from functools import partial
 
 import pytest
@@ -10,6 +9,7 @@ from etaforms.errors import FractionalValuation, UnsupportedLevel
 from etaforms.eta import ligozat_order
 from etaforms.leveldata import (
     SUPPORTED_LEVELS,
+    LevelData,
     cusp_polynomial,
     get_level,
     uncorrected_weight_form,
@@ -35,6 +35,14 @@ class TestGetLevel:
     def test_level10_hauptmodul_expansion(self):
         s = get_level(10).hauptmodul_series(8)
         assert s.coeff(-1) == 1 and s.coeff(0) == 0 and s.coeff(1) == 1
+
+    def test_level_data_is_immutable(self):
+        data = get_level(6)
+        with pytest.raises(AttributeError):
+            data.N = 10
+        with pytest.raises(AttributeError):
+            data._expansions = {}
+        assert data.N == 6 and get_level(6) is data
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
@@ -136,14 +144,12 @@ class TestValidation:
             comb.series(10)
 
     def test_validate_reports_uncorrected_variant_as_failure(self):
-        import dataclasses
-
         from etaforms.leveldata import WeightForm
 
         good = get_level(18)
-        broken = dataclasses.replace(
-            good,
-            weight_forms={2: WeightForm(2, 6, uncorrected_weight_form(18))})
+        broken = LevelData(good.N, good.hauptmodul_quotient, good.hauptmodul_shift,
+                           {2: WeightForm(2, 6, uncorrected_weight_form(18))},
+                           good.cusp_poly, good.aux)
         report = validate_level(18, 32, data=broken)
         assert not report.ok
         failing = [c for c in report.checks if not c.passed]
@@ -181,7 +187,9 @@ class TestExpansionCache:
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
     def test_shallow_request_equals_direct_expansion(self, n):
         # a fresh instance, so the deep request below is the one that is kept
-        data = dataclasses.replace(get_level(n))
+        d = get_level(n)
+        data = LevelData(d.N, d.hauptmodul_quotient, d.hauptmodul_shift, d.weight_forms,
+                         d.cusp_poly, d.aux)
         assert data._expansions == {}
         for kind, cached, direct in expansion_kinds(data):
             deep = cached(90)

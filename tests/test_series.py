@@ -5,12 +5,13 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from etaforms.errors import PrecisionExceeded, ZeroLeadingTerm
 from etaforms.leveldata import get_level
-from etaforms.series import QSeries, _convolve, deepest, normalize_coeff
+from etaforms.series import QSeries, _convolve, _progression, deepest, normalize_coeff
 
 
 def naive_product(a: QSeries, b: QSeries) -> QSeries:
@@ -146,6 +147,42 @@ def progression_coeffs(rng, length, step, offset, rational=False):
             if rational and rng.random() < 0.3:
                 out[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     return tuple(out)
+
+
+def progression_by_loop(c):
+    """Reference for ``_progression``: one pass over every entry."""
+    first = None
+    step = 0
+    for i, x in enumerate(c):
+        if x:
+            if first is None:
+                first = i
+            else:
+                step = gcd(step, i - first)
+                if step == 1:
+                    break
+    return first, step
+
+
+class TestProgression:
+    def test_matches_the_loop(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            c = progression_coeffs(rng, rng.randint(0, 60), rng.choice([1, 2, 3, 5, 6]),
+                                   rng.randint(0, 12), rational=rng.random() < 0.3)
+            assert _progression(c) == progression_by_loop(c), c
+            assert _progression(list(c)) == progression_by_loop(c), c
+
+    @pytest.mark.parametrize("c, want", [
+        ((), (None, 0)),
+        ((0, 0, 0), (None, 0)),
+        ((0, 0, 7), (2, 0)),
+        ((0, Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(-3, 4)), (1, 6)),
+        ((0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3), (2, 1)),
+        ((1, 0, 0, 0, 0, 0, 1, 0, 0, 1), (0, 3)),
+    ])
+    def test_edge_cases(self, c, want):
+        assert _progression(c) == progression_by_loop(c) == want
 
 
 class TestConvolveKernel:
@@ -388,6 +425,31 @@ class TestExactness:
     def test_json_coefficients_must_be_a_list(self, coeffs):
         with pytest.raises(TypeError):
             QSeries.from_json({"valuation": -1, "prec": 3, "coeffs": coeffs})
+
+    @pytest.mark.parametrize("coeffs", [
+        [str(10 ** 60), "-7", "+3", " 12 ", "-0", "5"],         # large, signed, spaced
+        ["0", "0", "1", "3/2", "-4/6", "2", "0", "0"],           # zero runs at both ends
+        ["0", "0", "0"],
+        [],
+        [3, "-2", Fraction(8, 4), "1/3", True, "0"],            # ints and strs mixed
+        ["1_000", "7"],
+    ])
+    def test_json_parse_matches_normalize_coeff(self, coeffs):
+        got = QSeries.from_json({"valuation": -2, "prec": 20, "coeffs": coeffs})
+        want = tuple(map(normalize_coeff, coeffs))
+        lead = next((i for i, c in enumerate(want) if c), len(want))
+        tail = len(want) - next((i for i, c in enumerate(reversed(want)) if c), len(want))
+        want = want[lead:tail]
+        assert got.coeffs == want
+        assert list(map(type, got.coeffs)) == list(map(type, want))
+        assert got.valuation == (-2 + lead if want else 20)
+
+    @pytest.mark.parametrize("coeffs", [["1", 2.5], [2.5], ["1", "2", 0.0]])
+    def test_json_float_coefficient_is_a_type_error(self, coeffs):
+        with pytest.raises(TypeError):
+            tuple(map(normalize_coeff, coeffs))
+        with pytest.raises(TypeError):
+            QSeries.from_json({"valuation": 0, "prec": 5, "coeffs": coeffs})
 
 
 class TestReindexing:

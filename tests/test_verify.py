@@ -243,6 +243,15 @@ class TestCongruenceScan:
             congruence_scan(6, 2, 1, 1, r_set=[2], s_set=[1], n_cap=20, cache=cache)
 
 
+def test_report_defaults_are_not_shared():
+    a = CheckReport("a", {}, True, "w")
+    b = CheckReport("b", {}, True, "w")
+    a.counterexamples.append((1, 2))
+    a.details["pairs"] = 3
+    assert b.counterexamples == [] and b.details == {}
+    assert a.precision == b.precision == 0
+
+
 def test_report_round_trip(cache):
     report = duality_check(6, 0, m_max=3, n_max=3, cache=cache)
     blob = json.dumps(report.to_json())
