@@ -12,13 +12,14 @@ function, sum of f_m(tau) z^m = first(tau) g(z) / (psi(z) - psi(tau)), with
 g the first element of weight 2-k in the other space: one expansion of g,
 then a recurrence on coefficients.  first * P(psi) is evaluated by
 baby-step/giant-step (Paterson-Stockmeyer): Horner in psi^B over blocks
-that combine the baby powers first * psi^b, b < B.  A walk through
-consecutive indices extends the baby table one power per index; a set of
-scattered rows, as a congruence scan reads, gets the B that costs the
-fewest series products.  Each result is checked to be q^-m with zeros
-through the gap, which makes it the unique canonical element.  One routine,
-_extend_powers, grows every power table, and one, _substitute, evaluates
-every polynomial at a series.
+that combine the baby powers first * psi^b, b < B.  A caller names all the
+rows it needs in one request, and the planner picks the B that costs that
+request the fewest series products: for a run of consecutive indices it is
+the walk, one new baby power per index and no giant; for scattered rows, as
+a congruence scan reads, it is Horner.  Each result is checked to be q^-m
+with zeros through the gap, which makes it the unique canonical element.
+One routine, _extend_powers, grows every power table, and one, _substitute,
+evaluates every polynomial at a series.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
@@ -43,7 +44,7 @@ import sys
 import threading
 from itertools import islice
 
-from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation, PrecisionExceeded
+from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
 from .series import QSeries, _convolve, _progression, normalize_coeff, parse_coeffs
 
@@ -97,6 +98,7 @@ class _Family:
     Element m is first * P_m(psi), known to O(q^(reach + 8 - m)).  ``cols[t]``
     holds the x^t coefficients of P_(m0+t), P_(m0+t+1), ...; ``baby`` holds
     first * psi^b, and ``giant`` the last psi^B a Horner evaluation used.
+    Each ``rows`` request is planned whole, as the walk or by Horner.
     ``top`` is the highest index a request asked for; once every index from
     m0+1 to ``top`` is built, the tables are dropped.
     """
@@ -121,19 +123,17 @@ class _Family:
         self._dual: QSeries | None = None
 
     def element(self, m: int) -> BasisElement:
-        """Element m; the baby table grows through its degree, so a walk uses no giant."""
-        return self.elements.get(m) or self.rows([m], m - self.m0 + 1)[0]
+        return self.elements.get(m) or self.rows([m])[0]
 
-    def rows(self, ms, babies: int | None = None) -> list[BasisElement]:
-        """Elements ``ms``, the missing ones evaluated with ``babies`` baby powers
-        or else the planned count."""
-        if min(ms) < self.m0:
+    def rows(self, ms) -> list[BasisElement]:
+        """Elements ``ms``, the missing ones evaluated with the planned baby count."""
+        if min(ms, default=self.m0) < self.m0:
             raise IndexBelowRange(
                 f"index {min(ms)} below minimal pole order {self.m0} for "
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         degrees = sorted({m - self.m0 for m in ms if m not in self.elements})
         if degrees:
-            b = babies or self._plan(degrees)
+            b = self._plan(degrees)
             if not self.baby:
                 self.baby.append(_first_series(self.data, self.k, self.space,
                                                self.reach + 8 - self.m0))
@@ -323,17 +323,22 @@ class BasisCache:
         return os.path.join(self.directory, f"basis_N{n}_k{k}_{space}.json")
 
     def files(self) -> list[str]:
-        """Paths of the family files in the directory, sorted; other files are not the cache's."""
+        """Paths of the family files in the directory, sorted; other entries,
+        a directory named like a family file too, are not the cache's."""
         pattern = os.path.basename(self._path("*", "*", "*"))
         names = fnmatch.filter(os.listdir(self.directory), pattern)
-        return [os.path.join(self.directory, f) for f in sorted(names)]
+        paths = [os.path.join(self.directory, f) for f in sorted(names)]
+        return [path for path in paths if os.path.isfile(path)]
 
     def save(self) -> list[str]:
-        """Write each family that has no file or gained elements; return the paths."""
+        """Write each family that has no file or gained elements; return the paths.
+        One that cannot be written does not stop the others: the first error
+        is raised once every other family is written."""
         if not self.directory:
             raise ValueError("cache has no directory configured")
         os.makedirs(self.directory, exist_ok=True)
         written = []
+        error = None
         with self._lock:
             for (n, k, space), fam in sorted(self._families.items()):
                 if fam.saved == len(fam.elements):
@@ -350,9 +355,15 @@ class BasisCache:
                     },
                 }
                 path = self._path(n, k, space)
-                _write_atomically(path, doc)
+                try:
+                    _write_atomically(path, doc)
+                except OSError as err:
+                    error = error or err
+                    continue
                 fam.saved = len(fam.elements)
                 written.append(path)
+        if error:
+            raise error
         return written
 
     def _load(self, data: LevelData, k: int, space: str) -> _Family | None:
@@ -437,8 +448,9 @@ def decompose_in_hauptmodul(series: QSeries, psi: QSeries,
                             min_window: int = 1) -> tuple[tuple, QSeries]:
     """Write a weight-0 object as a polynomial in a q^-1 + ... generator.
 
-    Peels the pole top-down; returns (ascending coefficients, residual).  The
-    residual of a genuine weight-0 form with poles only at infinity is O(q).
+    Peels the pole top-down, one subtraction per nonzero multiplier; returns
+    (ascending coefficients, residual).  The residual of a genuine weight-0
+    form with poles only at infinity is O(q).
     ``min_window`` is the number of residual coefficients that must remain
     verifiable; otherwise InsufficientPrecision is raised.
     """
@@ -451,31 +463,9 @@ def decompose_in_hauptmodul(series: QSeries, psi: QSeries,
             f"residual would be known only to O(q^{reachable})",
             needed=min_window + max(depth - 1, 0) + 1)
     powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth)
-    coeffs, residual = _peel(series, powers, 0)
-    return tuple(coeffs), residual
-
-
-def _peel(series: QSeries, powers: list[QSeries], offset: int) -> tuple[list, QSeries]:
-    """Clear q^-(offset+i) from ``series`` with c * powers[i], top power first.
-
-    powers[i] must lead with q^-(offset+i) at coefficient 1.  Returns the
-    multipliers c by i and the residual, known to the least precision among
-    ``series`` and the powers used.  The subtractions accumulate in one list.
-    """
-    coeffs = [0] * len(powers)
-    val, acc, prec = series.valuation, list(series.coeffs), series.prec
-    for i in range(len(powers) - 1, -1, -1):
-        e = -(offset + i)
-        if e >= prec:
-            raise PrecisionExceeded(e, prec)
-        c = acc[e - val] if 0 <= e - val < len(acc) else 0
+    coeffs = [0] * (depth + 1)
+    for i in range(depth, -1, -1):
+        c = coeffs[i] = series.coeff(-i)
         if c:
-            c = coeffs[i] = normalize_coeff(c)
-            p = powers[i]
-            prec = min(prec, p.prec)
-            lo = p.valuation - val
-            hi = min(lo + len(p.coeffs), prec - val)
-            acc.extend([0] * (hi - len(acc)))
-            del acc[prec - val:]
-            acc[lo:hi] = [x - c * y for x, y in zip(acc[lo:hi], p.coeffs)]
-    return coeffs, QSeries(val, acc, prec)
+            series = series - powers[i].scalar_mul(c)
+    return tuple(coeffs), series

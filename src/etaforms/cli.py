@@ -161,9 +161,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = validate_level(args.level, args.prec or 64)
+    if args.prec < 1:
+        print("error: --prec must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    report = validate_level(args.level, args.prec)
     doc = _document(
-        "validate", {"level": args.level, "prec": args.prec or 64},
+        "validate", {"level": args.level, "prec": args.prec},
         {"checks": report.to_json()["checks"]},
         {"pass": report.ok, "failures": sum(not c.passed for c in report.checks),
          "precision": report.prec},
@@ -218,7 +221,7 @@ def cmd_scan(args) -> int:
     doc = _document(
         "scan", report.params,
         {"rows": [r.to_json() for r in rows]},
-        {"pass": report.passed, "failures": report.details["failures"],
+        {"pass": report.passed, "failures": len(report.counterexamples),
          "precision": report.precision},
     )
     _emit(doc, report.render_text(), args, verify.rows_to_csv(rows))
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", parents=[common],
                                 help="run the structural checks on one level's constants")
     p_validate.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
-    p_validate.add_argument("--prec", type=int)
+    p_validate.add_argument("--prec", type=int, default=64)
     p_validate.set_defaults(fn=cmd_validate)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run an identity check")

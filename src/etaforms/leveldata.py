@@ -9,9 +9,9 @@ failure they cause is reproducible.
 
 from __future__ import annotations
 
+import os
 import threading
 from fractions import Fraction
-from importlib import resources
 from math import gcd
 
 from .errors import EtaformsError, UnsupportedLevel
@@ -176,7 +176,8 @@ def _phi(n: int) -> int:
 # fixture parsing
 
 def _fixture_text(name: str) -> str:
-    return resources.files("etaforms.fixtures").joinpath(name).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _parse_fixture(text: str) -> dict:
@@ -298,10 +299,6 @@ def get_level(n: int) -> LevelData:
         if n not in _levels:
             _levels[n] = _build_level(f"level{n:02d}.txt")
         return _levels[n]
-
-
-def cusp_polynomial(n: int) -> tuple[int, ...]:
-    return get_level(n).cusp_poly
 
 
 def uncorrected_weight_form(n: int) -> EtaCombination:

@@ -142,12 +142,12 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
     pad = 4
     fam_f = cache.family(n, k, "M", min_index=m_max, min_prec=n_max + 1 + pad)
     fam_g = cache.family(n, 2 - k, "S", min_index=n_max, min_prec=m_max + 1 + pad)
+    gs = fam_g.rows(range(n_lo, n_max + 1))
     bad = []
     pairs = 0
-    for m in range(m_lo, m_max + 1):
-        f = fam_f.element(m)
-        for nn in range(n_lo, n_max + 1):
-            g = fam_g.element(nn)
+    for f in fam_f.rows(range(m_lo, m_max + 1)):
+        for g in gs:
+            m, nn = f.index, g.index
             a = f.integer_coeff(nn)
             b = g.integer_coeff(m)
             pairs += 1
@@ -186,7 +186,6 @@ def _pairing_constant_term(f: QSeries, g: QSeries):
 # generating function
 
 def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
-                 tau_prec: int | None = None, min_tau_window: int = 8,
                  cache: BasisCache | None = None) -> CheckReport:
     """Two-variable identity: (psi(z) - psi(tau)) * sum of elements(tau) q_z^m
     equals (first element)(tau) * (dual cusp element)(z), column by column in
@@ -198,13 +197,13 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
         raise InsufficientPrecision(
             f"z-precision {z_prec} cannot complete columns through {m_max - 1}",
             needed=m_max + n0 + 1)
-    if tau_prec is None:
-        tau_prec = max(32, m_max + n0 + min_tau_window + 8)
+    min_tau_window = 8
+    tau_prec = max(32, m_max + n0 + min_tau_window + 8)
     fam = cache.family(n, k, "M", min_index=m_max, min_prec=tau_prec)
-    f_tau = {m: fam.element(m).expansion for m in range(-n0, m_max + 1)}
+    f_tau = {e.index: e.expansion for e in fam.rows(range(-n0, m_max + 1))}
     psi_tau = data.hauptmodul_series(tau_prec)
     psi_z = data.hauptmodul_series(z_prec)
-    g_z = cache.element(n, 2 - k, "S", n0 + 1, prec=z_prec).expansion
+    [g_z] = cache.family(n, 2 - k, "S", min_index=n0 + 1, min_prec=z_prec).rows([n0 + 1])
     first_tau = f_tau[-n0]
 
     cells = 0
@@ -252,11 +251,12 @@ def theta_check(n: int, m_max: int, window: int = 40,
     cache = cache or default_cache()
     fam_f = cache.family(n, 0, "M", min_index=m_max, min_prec=window + m_max + 4)
     fam_g = cache.family(n, 2, "S", min_index=m_max, min_prec=window + m_max + 4)
+    ms = range(1, m_max + 1)
     bad = []
     checked = 0
-    for m in range(1, m_max + 1):
-        lhs = theta(fam_f.element(m).expansion)
-        rhs = fam_g.element(m).expansion.scalar_mul(-m)
+    for m, f, g in zip(ms, fam_f.rows(ms), fam_g.rows(ms)):
+        lhs = theta(f.expansion)
+        rhs = g.expansion.scalar_mul(-m)
         hi = min(lhs.prec, rhs.prec)
         if hi < window:
             raise InsufficientPrecision(f"overlap {hi} below window {window}", needed=window + m_max)
@@ -289,17 +289,18 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
     prec_n = p * (zero_window + m_max + 2)
     fam_n = cache.family(n, 0, "M", min_index=m_max, min_prec=prec_n)
     fam_6 = cache.family(6, 0, "M", min_index=max(1, m_max // p), min_prec=zero_window + m_max + 2)
+    targets = fam_6.rows(range(1, m_max // p + 1))
     bad = []
     zero_cases = 0
     mapped_cases = 0
-    for m in range(1, m_max + 1):
-        image = u_p(fam_n.element(m).expansion, p)
+    for m, element in enumerate(fam_n.rows(range(1, m_max + 1)), 1):
+        image = u_p(element.expansion, p)
         if image.prec < zero_window:
             raise InsufficientPrecision(f"image precision {image.prec} below {zero_window}",
                                         needed=p * zero_window + m)
         if m % p == 0:
             mapped_cases += 1
-            target = fam_6.element(m // p).expansion
+            target = targets[m // p - 1].expansion
             hi = min(image.prec, target.prec)
             for t in range(-m // p, hi):
                 if image.coeff(t) != target.coeff(t):

@@ -14,7 +14,6 @@ from etaforms.basis import (
     BasisCache,
     _extend_powers,
     _first_series,
-    _peel,
     a_coeff,
     b_coeff,
     decompose_in_hauptmodul,
@@ -229,42 +228,13 @@ class TestDecompose:
 
 
 class TestPeel:
-    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (6, 2, "S"), (18, 0, "M"), (18, 2, "M")])
-    def test_fused_peel_matches_reference(self, n, k, space):
-        fam = BasisCache().family(n, k, space, min_index=24, min_prec=40)
-        i_max = fam.top - fam.m0
-        fam.element(fam.top)            # the walk extends the baby table through i_max
-        powers = fam.baby
-        assert len(powers) == i_max + 1
-        for i in range(i_max + 1):
-            got = _peel(powers[i], powers[:i], fam.m0)
-            want = reference_peel(powers[i], powers[:i], fam.m0)
-            assert got[0] == want[0]
-            assert [type(c) for c in got[0]] == [type(c) for c in want[0]]
-            assert got[1].valuation == want[1].valuation
-            assert got[1].coeffs == want[1].coeffs
-            assert got[1].prec == want[1].prec
-
-    def test_fused_peel_matches_reference_on_rationals(self):
-        psi = get_level(6).hauptmodul_series(30)
-        powers = [QSeries.one(31)]
-        for _ in range(5):
-            powers.append(powers[-1] * psi)
-        series = QSeries(-5, [Fraction(3, 2), 0, 4, Fraction(-1, 3), 0, 2, 7], 12)
-        got = _peel(series, powers, 0)
-        want = reference_peel(series, powers, 0)
-        assert got[0] == want[0]
-        assert (got[1].valuation, got[1].coeffs, got[1].prec) == \
-            (want[1].valuation, want[1].coeffs, want[1].prec)
-
     def test_pole_at_precision_raises(self):
         psi = get_level(6).hauptmodul_series(4)
         powers = [QSeries.one(5)]
         for _ in range(8):
             powers.append(powers[-1] * psi)
-        for peel in (_peel, reference_peel):
-            with pytest.raises(PrecisionExceeded):
-                peel(QSeries.monomial(1, -8, 2), powers, 0)
+        with pytest.raises(PrecisionExceeded):
+            reference_peel(QSeries.monomial(1, -8, 2), powers, 0)
 
 
 class TestCachePersistence:
@@ -445,7 +415,7 @@ def eliminated_polys(n, k, space, degree):
     # first * psi^i is known to O(q^(gap + degree + 1 - i)), past the gap
     first = _first_series(data, k, space, gap + degree + 1)
     powers = _extend_powers([first], data.hauptmodul_series(degree + 1), degree)
-    return [[-c for c in _peel(powers[i], powers[:i], -gap)[0]] + [1]
+    return [[-c for c in reference_peel(powers[i], powers[:i], -gap)[0]] + [1]
             for i in range(degree + 1)]
 
 
@@ -478,8 +448,10 @@ class TestRecurrence:
         assert planned.giant is not None        # the Horner path ran
         got += planned.rows([m0 + 40, m0 + 9])
         walked = BasisCache().family(n, k, space, min_index=m0 + 47, min_prec=30)
+        want = {e.index: e for e in walked.rows(range(m0, m0 + 48))}
+        assert walked.giant is None             # a contiguous range is the walk
         for e in got:
-            assert element_fields(e) == element_fields(walked.element(e.index))
+            assert element_fields(e) == element_fields(want[e.index])
 
     @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (4, "M")])
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)

@@ -152,6 +152,15 @@ class TestScan:
         assert code == 2
         assert err.startswith("error: cannot write report") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"]], ids=["ncap", "amax"])
+    def test_vacuous_scan_passes(self, capsys, bound):
+        # no pole order survives the bound, so there is no row and no failure
+        code, out, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", *bound,
+                                 "--format", "json", "--no-cache-dir")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["rows"] == [] and doc["summary"]["failures"] == 0
+
     def test_bad_residue_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--level", "6", "--p", "2",
                              "--rset", "2", "--ncap", "20", "--no-cache-dir")
@@ -181,6 +190,12 @@ class TestValidateAndCache:
         assert code == 0
         assert "overall: pass" in out
 
+    @pytest.mark.parametrize("prec", ["0", "-5"])
+    def test_validate_nonpositive_prec_is_usage_error(self, capsys, prec):
+        code, out, err = run_cli(capsys, "validate", "--level", "6", "--prec", prec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_cache_info_and_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         code, _, _ = run_cli(capsys, "expand", "--level", "6", "--weight", "0",
@@ -203,6 +218,31 @@ class TestValidateAndCache:
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
         assert code == 0 and "removed 1 " in out
         assert os.listdir(cache_dir) == ["rows.json"]
+
+    def test_cache_skips_a_directory_named_like_a_family_file(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "basis_N6_k0_M.json").mkdir(parents=True)
+        code, _, _ = run_cli(capsys, "expand", "--level", "6", "--weight", "2", "--m", "1",
+                             "--cache-dir", str(cache_dir))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "cache", "info", "--cache-dir", str(cache_dir))
+        assert code == 0 and "families: 1," in out and "basis_N6_k0_M.json" not in out
+        code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(cache_dir))
+        assert code == 0 and "removed 1 " in out and err == ""
+        assert os.listdir(cache_dir) == ["basis_N6_k0_M.json"]
+
+    def test_unwritable_family_does_not_stop_the_others(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "basis_N6_k0_M.json").mkdir(parents=True)
+        argv = ["verify", "duality", "--level", "6", "--weight", "0", "--window", "15"]
+        code, warm, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0
+        load, save = err.splitlines()
+        assert load.startswith("warning: ignoring unreadable cache file")
+        assert save.startswith("warning: basis cache not saved")
+        assert sorted(os.listdir(cache_dir)) == ["basis_N6_k0_M.json", "basis_N6_k2_S.json"]
+        code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0 and warm == cold
 
     @pytest.mark.parametrize("argv", [
         ["verify", "duality", "--level", "6", "--window", "4", "--no-cache-dir", "--format", "csv"],
@@ -317,7 +357,8 @@ STARTUP_PROBE = """
 import json, sys
 import etaforms.cli
 def loaded():
-    return [m for m in ("dataclasses", "inspect", "etaforms.verify") if m in sys.modules]
+    return [m for m in ("dataclasses", "inspect", "importlib.resources", "etaforms.verify")
+            if m in sys.modules]
 states = [loaded()]
 etaforms.cli.main(["expand", "--level", "6", "--weight", "0", "--m", "1", "--no-cache-dir"])
 states.append(loaded())

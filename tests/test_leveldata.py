@@ -10,7 +10,6 @@ from etaforms.eta import ligozat_order
 from etaforms.leveldata import (
     SUPPORTED_LEVELS,
     LevelData,
-    cusp_polynomial,
     get_level,
     uncorrected_weight_form,
     validate_level,
@@ -66,17 +65,17 @@ class TestCuspPolynomials:
     def test_level6_roots(self):
         # (x+4)(x+3)(x-5) expanded: the bare-quotient values 0, 1, 9 pushed
         # through the -4 normalization
-        assert cusp_polynomial(6) == (-60, -23, 2, 1)
+        assert get_level(6).cusp_poly == (-60, -23, 2, 1)
 
     def test_level18_polynomial(self):
-        assert cusp_polynomial(18) == (0, -8, 0, 0, -7, 0, 0, 1)
+        assert get_level(18).cusp_poly == (0, -8, 0, 0, -7, 0, 0, 1)
 
     def test_level10_polynomial(self):
         # (x+2)(x+1)(x-3) expanded
-        assert cusp_polynomial(10) == (-6, -7, 0, 1)
+        assert get_level(10).cusp_poly == (-6, -7, 0, 1)
 
     def test_level12_polynomial(self):
-        assert cusp_polynomial(12) == (0, 9, 0, -10, 0, 1)
+        assert get_level(12).cusp_poly == (0, 9, 0, -10, 0, 1)
 
     def test_degree_matches_cusp_count(self):
         expected_cusps = {6: 4, 10: 4, 12: 6, 18: 8}

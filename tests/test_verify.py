@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from etaforms.basis import BasisCache, _extend_powers, _Family, _peel
+from etaforms.basis import BasisCache, _Family, decompose_in_hauptmodul
 from etaforms.cli import main
 from etaforms.errors import NoConsistentSign
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
@@ -95,6 +95,12 @@ class TestUpLemma:
         assert report.passed
         assert report.details["mapped_cases"] == 3
 
+    def test_window_below_p_asks_for_no_level6_row(self, cache):
+        # the level-6 request is the empty range
+        report = up_lemma_check(18, m_max=2, zero_window=24, cache=cache)
+        assert report.passed
+        assert report.details == {"mapped_cases": 0, "zero_cases": 2}
+
     def test_other_levels_rejected(self, cache):
         with pytest.raises(ValueError):
             up_lemma_check(6, m_max=4, cache=cache)
@@ -149,12 +155,11 @@ class TestAlIdentity:
         fam = cache.family(n, 0, "M", min_index=max_m, min_prec=40)
         alt = data.aux_alt_series(p, 40 + max_m + 8)
         assert alt - data.hauptmodul_series(alt.prec) == shift
-        powers = _extend_powers([QSeries.one(alt.prec + 1)], alt, max_m)
         for m in sorted({p ** a * r for r in (1, 5, 7) for a in range(3)}):
             element = fam.element(m)
-            coeffs, residual = _peel(element.expansion, powers[:m + 1], 0)
+            coeffs, residual = decompose_in_hauptmodul(element.expansion, alt)
             assert residual.is_zero()
-            assert _shift_poly(element.haupt_poly, shift) == coeffs
+            assert _shift_poly(element.haupt_poly, shift) == list(coeffs)
 
     def test_refuses_an_alt_that_is_not_psi_plus_a_constant(self, monkeypatch, capsys):
         rows_read = []
