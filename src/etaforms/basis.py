@@ -7,16 +7,19 @@ an integer polynomial P.  The subspace vanishing at the other cusps has the
 same structure with n1 in place of n0 and the cusp polynomial folded into the
 first element.
 
-Every element is built one way.  P comes from the paper's generating
-function, sum of f_m(tau) z^m = first(tau) g(z) / (psi(z) - psi(tau)), with
-g the first element of weight 2-k in the other space: one expansion of g,
-then a recurrence on coefficients.  first * P(psi) is evaluated by
-baby-step/giant-step (Paterson-Stockmeyer): Horner in psi^B over blocks
-that combine the baby powers first * psi^b, b < B.  A caller names all the
-rows it needs in one request, and the planner picks the B that costs that
-request the fewest series products: for a run of consecutive indices it is
-the walk, one new baby power per index and no giant; for scattered rows, as
-a congruence scan reads, it is Horner.  Each result is checked to be q^-m
+Every element comes from the paper's generating function, sum of f_m(tau)
+z^m = first(tau) g(z) / (psi(z) - psi(tau)), with g the first element of
+weight 2-k in the other space.  Its z^m coefficient gives two recurrences:
+one on the polynomials P, and one on the rows themselves,
+f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, where
+psi = q^-1 + sum of c_j q^j.  A caller names all the rows it needs in one
+request, and the planner serves it whichever way makes fewer series
+products.  A run of consecutive indices continues the row recurrence from
+the first row not yet built, one product per new row, on rows kept as
+Kronecker-packed integers (see _Family._recur).  Scattered rows, as a
+congruence scan reads, are evaluated as first * P(psi) by baby-step/
+giant-step (Paterson-Stockmeyer): Horner in psi^B over blocks that combine
+the baby powers first * psi^b, b < B.  Each result is checked to be q^-m
 with zeros through the gap, which makes it the unique canonical element.
 One routine, _extend_powers, grows every power table, and one, _substitute,
 evaluates every polynomial at a series.
@@ -43,10 +46,12 @@ import os
 import sys
 import threading
 from itertools import islice
+from math import gcd
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
-from .series import QSeries, _convolve, _progression, normalize_coeff, parse_coeffs
+from .series import (QSeries, _bias, _convolve, _decode, _low_slots, _pack, _progression, _slot_width,
+                     deepest, normalize_coeff, parse_coeffs)
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -95,10 +100,23 @@ def _gap(data: LevelData, k: int, space: str) -> int:
 class _Family:
     """All computed elements of one (level, weight, space) at one reach.
 
-    Element m is first * P_m(psi), known to O(q^(reach + 8 - m)).  ``cols[t]``
-    holds the x^t coefficients of P_(m0+t), P_(m0+t+1), ...; ``baby`` holds
-    first * psi^b, and ``giant`` the last psi^B a Horner evaluation used.
-    Each ``rows`` request is planned whole, as the walk or by Horner.
+    Element m is first * P_m(psi), known to O(q^(reach + 8 - m)), so every
+    row holds L = reach + 8 coefficients, from q^-m on.  ``cols[t]`` holds the
+    x^t coefficients of P_(m0+t), P_(m0+t+1), ...
+
+    A request for rows up to degree D is served one of two ways, whichever
+    ``_plan`` counts fewer series products for.  The row recurrence
+    continues from the contiguous end, the first degree neither packed nor
+    stored, with one product per new row: ``packed`` holds rows 0, 1, ... as
+    Kronecker-packed integers, ``stride`` coefficients apart, in slots of
+    ``width`` bytes; ``values`` holds each row's slot values, decoded once,
+    and ``maxima`` their largest magnitudes.  The width obeys an exact bound
+    from those maxima and grows, with every row repacked from its values,
+    when a new row needs more.  After a table drop or a cache load the
+    stored rows are packed again, with no product.
+    Horner evaluates each named row alone: ``baby`` holds first * psi^b,
+    and ``giant`` the last psi^B it used.  ``elements`` receives only the
+    rows a request named, so a cache file holds what callers asked for.
     ``top`` is the highest index a request asked for; once every index from
     m0+1 to ``top`` is built, the tables are dropped.
     """
@@ -119,40 +137,55 @@ class _Family:
         self.cols: list[list] = [[1]]
         self.baby: list[QSeries] = []
         self.giant: QSeries | None = None
+        self.packed: list[int] = []
+        self.values: list[list] = []
+        self.maxima: list[int] = []
+        self.width = 0
+        self.stride = 1
+        self.slots = 0                  # per packed row: ceil((reach + 8) / stride)
         self._psi: QSeries | None = None
+        self._psi_packed = 0
+        self._psi_top = 0
         self._dual: QSeries | None = None
 
     def element(self, m: int) -> BasisElement:
         return self.elements.get(m) or self.rows([m])[0]
 
     def rows(self, ms) -> list[BasisElement]:
-        """Elements ``ms``, the missing ones evaluated with the planned baby count."""
+        """Elements ``ms``, the missing ones built as ``_plan`` chooses."""
         if min(ms, default=self.m0) < self.m0:
             raise IndexBelowRange(
                 f"index {min(ms)} below minimal pole order {self.m0} for "
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         degrees = sorted({m - self.m0 for m in ms if m not in self.elements})
         if degrees:
-            b = self._plan(degrees)
-            if not self.baby:
-                self.baby.append(_first_series(self.data, self.k, self.space,
-                                               self.reach + 8 - self.m0))
-            # first * psi^b is known to min(first.prec - b, psi.prec - m0 + 1 - b),
-            # and element m = m0 + b must reach O(q^(reach + 8 - m))
             psi = self._psi = self._psi or self.data.hauptmodul_series(self.reach + 7)
-            _extend_powers(self.baby, psi, b - 1)
-            for d in degrees:
-                self._evaluate(d, b, psi)
+            first = _first_series(self.data, self.k, self.space, self.reach + 8 - self.m0)
+            self._poly(degrees[-1], psi)        # expands g, which the recurrence reads too
+            b = self._plan(degrees, first, psi)
+            if b is None:
+                self._recur(degrees, first, psi)
+            else:
+                # first * psi^b is known to min(first.prec - b, psi.prec - m0 + 1 - b),
+                # and element m = m0 + b must reach O(q^(reach + 8 - m))
+                if not self.baby:
+                    self.baby.append(first)
+                _extend_powers(self.baby, psi, b - 1)
+                for d in degrees:
+                    self._evaluate(d, b, psi)
             if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
-                # element m0 is baby[0], so a later request for it costs one
-                # first-element expansion
+                # element m0 is first, so a later request for it costs no product
                 self._drop_tables()
         return [self.elements[m] for m in ms]
 
-    def _plan(self, degrees: list[int]) -> int:
-        """The baby count B that makes the fewest series products: one per new
-        baby, d // B Horner steps per row, and a binary powering for a new
-        giant.  Ties go to the larger B."""
+    def _plan(self, degrees: list[int], first: QSeries, psi: QSeries) -> int | None:
+        """None for the recurrence, else the baby count B for Horner: whichever
+        makes fewer series products.  The recurrence makes one per row from the
+        contiguous end through the top degree; Horner one per new baby, d // B
+        steps per row and a binary powering for a new giant.  Ties go to the
+        recurrence, then to the larger B.  A Fraction in first, psi or g, which
+        no packed slot holds, leaves Horner."""
+        top = degrees[-1]
         have = len(self.baby)
         held = self.giant and -self.giant.valuation
 
@@ -161,7 +194,121 @@ class _Family:
             giant = steps and b != held and b.bit_length() + bin(b).count("1") - 2
             return max(b - have, 0) + steps + giant
 
-        return min(range(max(have, degrees[-1] + 1), 0, -1), key=cost)
+        new_rows = top + 1 - self._contiguous_end()
+        integral = all({int}.issuperset(map(type, s.coeffs)) for s in (first, psi, self._dual) if s)
+        # Horner makes no product only when its babies reach past the top degree
+        if integral and new_rows <= (have <= top):
+            return None
+        b = min(range(max(have, top, 1), 0, -1), key=cost)
+        return None if integral and new_rows <= cost(b) else b
+
+    def _stored(self, d: int) -> QSeries | None:
+        """The stored row of degree d, if it has the family's precision and integer coefficients."""
+        m = self.m0 + d
+        e = self.elements.get(m)
+        if e and e.expansion.prec == self.reach + 8 - m and e.expansion.valuation == -m \
+                and {int}.issuperset(map(type, e.expansion.coeffs)):
+            return e.expansion
+        return None
+
+    def _contiguous_end(self) -> int:
+        """The first degree past row 0 (first itself) that is neither packed nor stored."""
+        end = max(len(self.packed), 1)
+        while self._stored(end):
+            end += 1
+        return end
+
+    def _recur(self, degrees: list[int], first: QSeries, psi: QSeries) -> None:
+        """Rows through the top degree by the generating function's recurrence.
+
+        The coefficient of z^m in sum of f_m z^m * (psi(z) - psi(tau)) =
+        first(tau) g(z), with psi = q^-1 + sum of c_j q^j, gives
+        f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, and
+        first is row 0, so g_m folds into the term j = m - m0.  psi f_m is
+        known to O(q^(reach + 7 - m)), row m+1's precision, and every other
+        term deeper.  A row already stored is packed, not computed.
+
+        Row m is q^-m times a series in q^s, s the step that psi and first
+        share (3 at level 18, 2 at level 12), so a slot holds every s-th
+        coefficient: the L = reach + 8 coefficients fill ceil(L / s) slots.
+        """
+        if not self.packed:
+            self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
+            self.slots = -(-(self.reach + 8) // self.stride)
+            self._psi_top = max(map(abs, psi.coeffs))
+            self._check(self.m0, [first.coeff(self.gap)])
+            self._append(first.coeffs)
+        for d in degrees:
+            if d < len(self.packed):
+                self._store(d, self._row(d, self.values[d]), psi)
+        named = set(degrees)
+        for d in range(len(self.packed), degrees[-1] + 1):
+            stored = self._stored(d)
+            if stored:
+                self._append(stored.coeffs)
+                continue
+            values = self._step(psi)
+            m = self.m0 + d
+            self._check(m, values[:(self.gap + m) // self.stride + 1], self.stride)
+            if d in named:
+                self._store(d, self._row(d, values), psi)
+
+    def _step(self, psi: QSeries) -> list:
+        """Pack the row after the last packed one; return its slot values.
+
+        One product, the last row times psi, then one C-level multiply-add
+        per nonzero c_j, the row shifted (j + 1) / s slots.  The slot width W
+        satisfies 8 W >= bits(n max|row| max|psi| + sum of |c_j| max|row n-j|) + 2,
+        n the slots of a row, from the maxima of the decoded rows, so every
+        slot of the sum holds its coefficient; the n kept slots are read once
+        and stay packed.
+        """
+        n = len(self.packed) - 1
+        m = self.m0 + n
+        s = self.stride
+        # psi * row n is known to row n+1's precision; every other term is known deeper
+        assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
+        terms = [(j, c) for j, c in enumerate(psi.coeffs[1:n + 1]) if c]      # j < n
+        fold = psi.coeff(n) - self._dual.coeff(m)
+        if fold:
+            if (n + 1) % s:
+                raise RuntimeError(f"g_{m} leaves the step-{s} progression of psi and first")
+            terms.append((n, fold))
+        slots = self.slots
+        self._fit((slots * self.maxima[n] * self._psi_top
+                   + sum(abs(c) * self.maxima[n - j] for j, c in terms)).bit_length())
+        w = self.width
+        acc = self.packed[n] * self._psi_packed
+        for j, c in terms:
+            acc -= c * self.packed[n - j] << 8 * w * ((j + 1) // s)
+        raw = _low_slots(acc, slots, w)
+        self.packed.append(raw - _bias(slots, w))
+        values = _decode(raw, slots, w)
+        self.values.append(values)
+        self.maxima.append(max(map(abs, values)))
+        return values
+
+    def _append(self, coeffs) -> None:
+        """Pack one more row, a stored one or first, in slots that hold psi too."""
+        values = coeffs[::self.stride]
+        top = max(map(abs, values))
+        self._fit(max(top, self._psi_top).bit_length())
+        self.packed.append(_pack(values, self.width))
+        self.values.append(values)
+        self.maxima.append(top)
+
+    def _fit(self, bits: int) -> None:
+        """Widen the slots to hold values below 2^bits, repacking every decoded row and psi.
+
+        The maxima grow from row to row, so a widening adds a quarter for the rows to come.
+        """
+        width = _slot_width(bits)
+        if width <= self.width:
+            return
+        width += width // 4
+        self.packed = [_pack(values, width) for values in self.values]
+        self._psi_packed = _pack(self._psi.coeffs[::self.stride], width)
+        self.width = width
 
     def _evaluate(self, d: int, b: int, psi: QSeries) -> None:
         """Element m0 + d as first * P(psi), by Horner in psi^b over blocks of b babies."""
@@ -176,14 +323,32 @@ class _Family:
             block = _substitute(poly[g * b:(g + 1) * b], self.baby, prec + g * b)
             series = series * self.giant + block
         assert series.prec == prec
-        # q^-m with zeros through the gap is the unique element: P is checked
-        for t in range(-m + 1, self.gap + 1):
-            if series.coeff(t):
+        self._check(m, [series.coeff(t) for t in range(-m, self.gap + 1)])
+        self._store(d, series, psi)
+
+    def _check(self, m: int, head: list, step: int = 1) -> None:
+        """Row m's coefficients of q^-m, q^(step-m), ... through q^gap must be
+        1, then zeros: that makes it the unique canonical element, and P is checked."""
+        for i, c in enumerate(head[1:], 1):
+            if c:
                 raise RuntimeError(
-                    f"P_{m}(psi) left q^{t} uncancelled for "
+                    f"P_{m}(psi) left q^{i * step - m} uncancelled for "
                     f"(level {self.data.N}, weight {self.k}, space {self.space})")
-        if series.coeff(-m) != 1:
+        if head[0] != 1:
             raise RuntimeError(f"unit pivot failed at index {m}")
+
+    def _row(self, d: int, values: list) -> QSeries:
+        """Row d, m = m0 + d, from its slot values: q^-m times a series in q^stride."""
+        m = self.m0 + d
+        if self.stride > 1:
+            coeffs = [0] * (self.reach + 8)
+            coeffs[:len(values) * self.stride:self.stride] = values
+            values = coeffs
+        return QSeries(-m, values, self.reach + 8 - m)
+
+    def _store(self, d: int, series: QSeries, psi: QSeries) -> None:
+        m = self.m0 + d
+        poly = self._poly(d, psi)
         if self.space == S_SPACE:
             poly = _convolve(self.data.cusp_poly, poly, len(self.data.cusp_poly) + len(poly) - 1)
         self.elements[m] = BasisElement(
@@ -226,6 +391,16 @@ class _Family:
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
     """First (maximal-vanishing) element of the space, known to O(q^prec).
+
+    Served from the level's deepest expansion, so the families that read it,
+    the space's own and the dual one's generating function, expand it once.
+    """
+    return deepest(data._expansions, ("first", k, space), prec,
+                   lambda p: _expand_first(data, k, space, p))
+
+
+def _expand_first(data: LevelData, k: int, space: str, prec: int) -> QSeries:
+    """The first element expanded to O(q^prec).
 
     A product is known to each factor's precision plus the other factors'
     valuation, so each input of valuation v (the fixture's vanishing order, or

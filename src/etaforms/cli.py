@@ -77,13 +77,24 @@ def _document(command: str, params: dict, payload: dict, summary: dict) -> dict:
 
 def _emit(doc: dict, text: str, args, csv_text: str | None = None) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
-        print(csv_text, end="")
+        _print(csv_text)
     else:
-        print(text)
+        _print(text + "\n")
     if args.report:
         _write_report(args.report, doc, csv_text)
+
+
+def _print(text: str) -> None:
+    """Write ``text`` to stdout.  A reader that is gone, as after ``| head``,
+    costs the rest of the output, not a traceback: stdout is pointed at the
+    null device, so no later flush raises, and the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_report(path: str, doc: dict, csv_text: str | None) -> None:
@@ -234,18 +245,18 @@ def cmd_cache(args) -> int:
     directory = cache.directory
     files = cache.files() if directory and os.path.isdir(directory) else None
     if args.action == "info" and files is None:
-        print(f"cache directory: {directory or '(memory only)'} (absent)")
+        lines = [f"cache directory: {directory or '(memory only)'} (absent)"]
     elif args.action == "info":
-        print(f"cache directory: {directory}")
-        print(f"families: {len(files)}, total {sum(map(os.path.getsize, files))} bytes")
-        for f in files:
-            print(f"  {os.path.basename(f)}")
+        lines = [f"cache directory: {directory}",
+                 f"families: {len(files)}, total {sum(map(os.path.getsize, files))} bytes"]
+        lines += [f"  {os.path.basename(f)}" for f in files]
     elif files is None:
-        print("nothing to clear")
+        lines = ["nothing to clear"]
     else:
         for f in files:
             os.remove(f)
-        print(f"removed {len(files)} cache files from {directory}")
+        lines = [f"removed {len(files)} cache files from {directory}"]
+    _print("".join(line + "\n" for line in lines))
     return EXIT_PASS
 
 

@@ -14,7 +14,7 @@ import threading
 from fractions import Fraction
 from math import gcd
 
-from .errors import EtaformsError, UnsupportedLevel
+from .errors import EtaformsError, InsufficientPrecision, UnsupportedLevel
 from .eta import (
     EtaCombination,
     EtaQuotient,
@@ -362,10 +362,17 @@ def validate_level(n: int, prec: int = 64, data: LevelData | None = None) -> Val
     """Run the per-level structural checks; failures are reported, not raised.
 
     ``data`` overrides the registry entry, which lets rejected fixture
-    variants be validated to demonstrate how they fail.
+    variants be validated to demonstrate how they fail.  A precision that
+    does not reach every weight form's leading term raises
+    InsufficientPrecision before any check runs.
     """
     if data is None:
         data = get_level(n)
+    needed = max(form.vanishing for form in data.weight_forms.values()) + 1
+    if prec < needed:
+        raise InsufficientPrecision(
+            f"level {data.N} validation reads the weight forms' leading terms, up to "
+            f"q^{needed - 1}, which O(q^{prec}) does not reach", needed=needed)
     checks: list[ValidationCheck] = []
 
     def run(name, fn):

@@ -399,6 +399,43 @@ def _integral(c) -> tuple:
     return [x.numerator * (den // x.denominator) for x in c], den
 
 
+def _slot_width(bits: int) -> int:
+    """Bytes per Kronecker slot for values below 2^bits in magnitude: 8 W >= bits + 2."""
+    return (bits + 9) // 8
+
+
+def _bias(n: int, width: int) -> int:
+    """half = 2^(8 width - 1) in each of n slots of ``width`` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+
+
+def _pack(c, width: int) -> int:
+    """The integer sum of c[i] * 2^(8 width i), for integers |c[i]| below half.
+
+    Each entry is written in two's complement into its own little-endian
+    slot; flipping the top bit of every slot biases it by half, so every slot
+    is nonnegative, and the bias is subtracted as one constant.
+    """
+    bias = _bias(len(c), width)
+    return (int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True) for x in c]),
+                           "little") ^ bias) - bias
+
+
+def _low_slots(x: int, n: int, width: int) -> int:
+    """The n lowest slots of packed ``x``, each biased by half: when each of
+    those slot values is below half in magnitude, slot i of the result is
+    its value plus half, whatever the higher slots hold."""
+    return (x + _bias(n, width)) & ((1 << (8 * width * n)) - 1)
+
+
+def _decode(raw: int, n: int, width: int) -> list:
+    """The n slot values of ``raw``, a ``_low_slots`` result: the bias flipped
+    off as one constant, each slot read in two's complement."""
+    data = (raw ^ _bias(n, width)).to_bytes(n * width, "little")
+    read = int.from_bytes
+    return [read(data[i:i + width], "little", signed=True) for i in range(0, n * width, width)]
+
+
 def _convolve(a, b, out_len):
     """Truncated Cauchy product of two coefficient sequences, by exact Kronecker substitution.
 
@@ -412,17 +449,18 @@ def _convolve(a, b, out_len):
     Denominators are cleared first: each operand is scaled by the lcm of its
     own, and each output coefficient is divided once by the product of the two.
     The integer slices are then multiplied by Kronecker substitution (Harvey,
-    J. Symb. Comput. 44 (2009), arXiv:0712.4046): each is packed into one big
-    integer, one little-endian slot of W bytes per coefficient, biased by
-    half = 2^(8W-1) so that every slot is nonnegative, and the bias is
-    subtracted as one packed constant.  An output coefficient is a sum of at
-    most min(len a, len b) products, so its magnitude is below
-    2^(bits(max|a|) + bits(max|b|) + bits(min(len a, len b))), and W is sized
-    so that this stays below half with a bit to spare: one CPython big-integer
-    product then holds every coefficient in its own slot.  The bias is added
-    back over the n slots kept, the slots past them are masked off, and each
-    slot is read with ``int.from_bytes``.  Unpacking is linear; it never uses
-    ``%``, shifts or ``str``.
+    J. Symb. Comput. 44 (2009), arXiv:0712.4046), in the one packed format
+    that ``_pack``, ``_low_slots`` and ``_decode`` share with the basis row
+    recurrence: each slice is packed into one big integer, one little-endian
+    slot of W bytes per coefficient, biased by half = 2^(8W-1) so that every
+    slot is nonnegative, and the bias is subtracted as one packed constant.
+    An output coefficient is a sum of at most min(len a, len b) products, so
+    its magnitude is below 2^(bits(max|a|) + bits(max|b|) + bits(min(len a,
+    len b))), and W is sized so that this stays below half with a bit to
+    spare: one CPython big-integer product then holds every coefficient in
+    its own slot.  The bias is added back over the n slots kept, the slots
+    past them are masked off, and each slot is read with ``int.from_bytes``.
+    Unpacking is linear; it never uses ``%``, shifts or ``str``.
     """
     out = [0] * max(out_len, 0)
     fa, sa = _progression(a)
@@ -434,21 +472,12 @@ def _convolve(a, b, out_len):
     square = a is b
     a, da = _integral(a[fa::d][:n])
     b, db = (a, da) if square else _integral(b[fb::d][:n])
-    # slot bytes: 8 * width >= bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2
-    width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-             + min(len(a), len(b)).bit_length() + 9) // 8
-    half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-
-    def pack(c):
-        return (int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in c]), "little")
-                - int.from_bytes(slot * len(c), "little"))
-
-    pa = pack(a)
-    prod = pa * (pa if square else pack(b))
-    size = n * width
-    raw = ((prod + int.from_bytes(slot * n, "little")) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    sub = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, size, width)]
+    # an output coefficient is below 2^(bits(max|a|) + bits(max|b|) + bits(min(len a, len b)))
+    width = _slot_width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                        + min(len(a), len(b)).bit_length())
+    pa = _pack(a, width)
+    prod = pa * (pa if square else _pack(b, width))
+    sub = _decode(_low_slots(prod, n, width), n, width)
     if da * db != 1:
         sub = [normalize_coeff(Fraction(c, da * db)) for c in sub]
     out[fa + fb::d] = sub

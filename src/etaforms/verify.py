@@ -193,6 +193,11 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
     cache = cache or default_cache()
     data = get_level(n)
     n0 = data.n0(k)
+    if m_max < -n0:
+        return CheckReport(
+            name="genfun", params={"level": n, "weight": k, "m_max": m_max, "z_prec": z_prec},
+            passed=True, window="empty", details={"vacuous": True},
+        )
     if z_prec < m_max + n0 + 1:
         raise InsufficientPrecision(
             f"z-precision {z_prec} cannot complete columns through {m_max - 1}",

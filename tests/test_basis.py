@@ -25,7 +25,7 @@ from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExc
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, WeightForm, get_level
 from etaforms.series import QSeries
-from etaforms.verify import congruence_scan, theta_check
+from etaforms.verify import _shift_poly, congruence_scan, theta_check
 
 
 @pytest.fixture()
@@ -398,10 +398,10 @@ class TestPowerTable:
         theta_check(10, m_max=20, window=40, cache=cache)
         fam = cache._families[(10, 0, "M")]
         assert len(fam.elements) == 20 and 0 not in fam.elements
-        dropped = ([[1]], [], None)
-        assert (fam.cols, fam.baby, fam.giant) == dropped
+        dropped = ([[1]], [], None, [])
+        assert (fam.cols, fam.baby, fam.giant, fam.packed) == dropped
         first = fam.element(0)
-        assert (fam.cols, fam.baby, fam.giant) == dropped
+        assert (fam.cols, fam.baby, fam.giant, fam.packed) == dropped
         want = BasisCache().family(10, 0, "M", min_index=fam.top,
                                    min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
@@ -461,13 +461,18 @@ class TestRecurrence:
         fam = BasisCache().family(n, k, space, min_index=m0 + 30, min_prec=20)
         fam.element(m0)
         fam.element(m0 + 1)     # expands first, psi and g, once for the whole walk
-        products = []
+        steps, products = [], []
+        step = basis._Family._step
+        # a step is one packed product, the last row times psi; it runs on rows 0..d-1
+        monkeypatch.setattr(basis._Family, "_step",
+                            lambda fam, psi: steps.append(len(fam.packed)) or step(fam, psi))
         mul = QSeries.__mul__
         monkeypatch.setattr(QSeries, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
         for m in range(m0 + 2, m0 + 31):
             fam.element(m)
-        assert len(products) <= 29
+        assert steps == list(range(2, 31))
+        assert products == []
 
     def test_sparse_scan_makes_under_half_the_products(self, monkeypatch):
         # coefficient products, counted from the operand lengths as the
@@ -485,6 +490,121 @@ class TestRecurrence:
         rows, report = congruence_scan(18, 3, 4, 4, cache=BasisCache())
         assert report.passed and len(rows) == 225
         assert 2 * sum(counted) < 88_766_292
+
+
+def peeled_rows(n, k, space, reach, top):
+    """Rows m0..m0+top of a family at ``reach`` by the reference: first * psi^d,
+    with the lower powers peeled off its pole, is the element; {m: fields}."""
+    data = get_level(n)
+    gap = data.n0(k) if space == "M" else data.n1(k)
+    first = _first_series(data, k, space, reach + 8 + gap)
+    powers = _extend_powers([first], data.hauptmodul_series(reach + 7), top)
+    out = {}
+    for d in range(top + 1):
+        coeffs, row = reference_peel(powers[d], powers[:d], -gap)
+        poly = [-c for c in coeffs[:d]] + [1]
+        if space == "S":
+            poly = series._convolve(data.cusp_poly, poly, len(data.cusp_poly) + d)
+        m = d - gap
+        out[m] = (n, k, m, space, tuple(poly), row.valuation, row.coeffs, row.prec)
+    return out
+
+
+def count_steps(monkeypatch):
+    steps = []
+    step = basis._Family._step
+    monkeypatch.setattr(basis._Family, "_step",
+                        lambda fam, psi: steps.append(fam.m0 + len(fam.packed)) or step(fam, psi))
+    return steps
+
+
+class TestRowRecurrence:
+    TOP = 24
+
+    @pytest.mark.parametrize("space", ["M", "S"])
+    @pytest.mark.parametrize("n", [6, 10, 12, 18])
+    def test_recurrence_horner_and_reference_agree(self, n, space):
+        data = get_level(n)
+        for k in range(-4, 7, 2):
+            m0 = -(data.n0(k) if space == "M" else data.n1(k))
+            top = m0 + self.TOP
+            # one request from m0, then one index at a time
+            whole = BasisCache().family(n, k, space, min_index=top, min_prec=16)
+            got = {e.index: element_fields(e) for e in whole.rows(range(m0, top + 1))}
+            single = BasisCache().family(n, k, space, min_index=top, min_prec=16)
+            for m in range(m0, top + 1):
+                assert element_fields(single.element(m)) == got[m], (k, m)
+            assert got == peeled_rows(n, k, space, whole.reach, self.TOP), k
+            # scattered rows go to Horner
+            horner = BasisCache().family(n, k, space, min_index=top, min_prec=16)
+            ms = [top, top - 5, m0 + 3]
+            for e in horner.rows(ms):
+                assert element_fields(e) == got[e.index], (k, e.index)
+            assert horner.giant is not None and horner.packed == []
+
+    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (12, 2, "S"), (18, -2, "M")])
+    def test_continues_after_the_tables_are_dropped(self, monkeypatch, n, k, space):
+        cache = BasisCache()
+        m0 = -(get_level(n).n0(k) if space == "M" else get_level(n).n1(k))
+        fam = cache.family(n, k, space, min_index=m0 + 10, min_prec=30)
+        fam.rows(range(m0, m0 + 11))
+        assert fam.packed == []                 # every index through top is built
+        assert cache.family(n, k, space, min_index=m0 + 20, min_prec=20) is fam
+        steps = count_steps(monkeypatch)
+        got = fam.rows(range(m0 + 15, m0 + 21))
+        # the stored rows are packed again, not computed
+        assert steps == list(range(m0 + 11, m0 + 21))
+        want = peeled_rows(n, k, space, fam.reach, 20)
+        for e in got + [fam.element(m) for m in range(m0, m0 + 11)]:
+            assert element_fields(e) == want[e.index]
+
+    def test_continues_a_family_loaded_with_gaps(self, monkeypatch, tmp_path):
+        disk = BasisCache(directory=str(tmp_path))
+        fam = disk.family(10, 2, "S", min_index=40, min_prec=30)
+        m0 = fam.m0
+        fam.rows(list(range(m0, m0 + 8)) + [m0 + 12, m0 + 13, m0 + 30])
+        disk.save()
+        loaded = BasisCache(directory=str(tmp_path)).family(10, 2, "S", min_index=40,
+                                                            min_prec=30)
+        assert sorted(loaded.elements) == sorted(fam.elements) and loaded.reach == fam.reach
+        steps = count_steps(monkeypatch)
+        got = loaded.rows(range(m0, m0 + 21))
+        # rows m0..m0+7 and the stored m0+12, m0+13 are packed from disk
+        assert steps == [m0 + d for d in (8, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20)]
+        want = peeled_rows(10, 2, "S", fam.reach, 20)
+        assert [element_fields(e) for e in got] == [want[m] for m in range(m0, m0 + 21)]
+
+    def test_slots_widen_as_the_rows_grow(self, monkeypatch):
+        widths = []
+        fit = basis._Family._fit
+        monkeypatch.setattr(basis._Family, "_fit",
+                            lambda fam, bits: fit(fam, bits) or widths.append(fam.width))
+        fam = BasisCache().family(6, 0, "M", min_index=120, min_prec=100)
+        assert fam.reach >= 200
+        got = fam.rows(range(0, 121))
+        widened = sorted(set(widths))
+        assert len(widened) >= 3, widened
+        horner = BasisCache().family(6, 0, "M", min_index=120, min_prec=100)
+        for e in horner.rows([120, 97, 61, 2]):
+            assert element_fields(e) == element_fields(got[e.index])
+        assert horner.packed == []
+
+    def test_fractional_input_is_served_by_horner(self):
+        # psi + 1/2, with the cusp polynomial rewritten in it, describes the same
+        # spaces: the same elements, by polynomials that are not integral
+        data = get_level(6)
+        shifted = LevelData(data.N, data.hauptmodul_quotient,
+                            data.hauptmodul_shift + Fraction(1, 2), data.weight_forms,
+                            tuple(_shift_poly(data.cusp_poly, Fraction(1, 2))), data.aux)
+        for k, space in ((0, "M"), (2, "S"), (-2, "M"), (4, "S")):
+            fam = basis._Family(shifted, k, space, 40)
+            got = fam.rows(range(fam.m0, fam.m0 + 12))
+            assert fam.packed == [] and fam.giant is None
+            want = basis._Family(data, k, space, 40).rows(range(fam.m0, fam.m0 + 12))
+            for a, b in zip(got, want):
+                assert (a.expansion.valuation, a.expansion.coeffs, a.expansion.prec) == \
+                    (b.expansion.valuation, b.expansion.coeffs, b.expansion.prec)
+            assert any(Fraction in set(map(type, e.haupt_poly)) for e in got)
 
 
 class TestFirstSeriesSizing:
@@ -505,12 +625,16 @@ class TestFirstSeriesSizing:
     def test_weight_forms_expanded_only_as_deep_as_needed(self, monkeypatch, n, k, space,
                                                            prec, want):
         # input of valuation v is needed to O(q^(prec - gap + v)); guessed pads
-        # asked (18, 2) for O(q^179)
+        # asked (18, 2) for O(q^179).  A fresh copy of the level holds no
+        # expansion, so the first element is computed here, not served
+        data = get_level(n)
+        fresh = LevelData(data.N, data.hauptmodul_quotient, data.hauptmodul_shift,
+                          data.weight_forms, data.cusp_poly, data.aux)
         requests = []
         expand = LevelData.weight_form_series
         monkeypatch.setattr(LevelData, "weight_form_series",
                             lambda self, w, p: requests.append((w, p)) or expand(self, w, p))
-        _first_series(get_level(n), k, space, prec)
+        _first_series(fresh, k, space, prec)
         assert requests == want
 
     @pytest.mark.parametrize("n", [6, 10, 18])

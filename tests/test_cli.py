@@ -86,6 +86,15 @@ class TestVerify:
                              "--weight", "4", "--mmax", "4", "--no-cache-dir")
         assert code == 0
 
+    @pytest.mark.parametrize("m_max", ["-1", "-3"])
+    def test_vacuous_genfun_passes(self, capsys, m_max):
+        # no element has a pole order at most m_max, so there is no column to check
+        code, out, err = run_cli(capsys, "verify", "genfun", "--level", "6", "--weight", "0",
+                                 "--mmax", m_max, "--format", "json", "--no-cache-dir")
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["passed"] and report["details"]["vacuous"]
+
     def test_al(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "al", "--level", "6", "--p", "3",
                              "--rset", "1", "--amax", "1", "--no-cache-dir")
@@ -195,6 +204,18 @@ class TestValidateAndCache:
         code, out, err = run_cli(capsys, "validate", "--level", "6", "--prec", prec)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("n, prec, needed", [(6, "1", 3), (6, "2", 3), (10, "6", 7),
+                                                 (18, "6", 7)])
+    def test_validate_short_of_a_leading_term_is_a_precision_error(self, capsys, n, prec,
+                                                                    needed):
+        # O(q^prec) does not reach the weight form's leading term, which is no fixture fault
+        code, out, err = run_cli(capsys, "validate", "--level", str(n), "--prec", prec)
+        assert code == 4 and out == ""
+        assert err.startswith("insufficient precision: ") and len(err.splitlines()) == 1
+        assert f"(needs precision >= {needed})" in err
+        code, _, _ = run_cli(capsys, "validate", "--level", str(n), "--prec", str(needed))
+        assert code == 0
 
     def test_cache_info_and_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -390,3 +411,26 @@ def test_console_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.strip() == "q^-1 + 6q + 4q^2 - 3q^3"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--level", "6", "--prec", "20"], 0),
+    (["verify", "theta", "--level", "6", "--mmax", "3", "--format", "json", "--no-cache-dir"], 0),
+    (["cache", "info", "--no-cache-dir"], 0),
+    (["validate", "--level", "6", "--prec", "2"], 4),
+], ids=["validate", "verify-json", "cache-info", "precision-error"])
+def test_closed_stdout_ends_quietly(argv, code):
+    # the reader is gone before the command writes, as when ``| head`` has exited
+    src = os.path.dirname(os.path.dirname(etaforms.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "etaforms", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr and "BrokenPipe" not in result.stderr
+    assert result.stderr == "" or code == 4

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from etaforms.basis import BasisCache
+from etaforms.basis import BasisCache, _expand_first, _first_series
 from etaforms.errors import FractionalValuation, UnsupportedLevel
 from etaforms.eta import ligozat_order
 from etaforms.leveldata import (
@@ -171,6 +171,9 @@ def expansion_kinds(data):
     for p, aux in sorted(data.aux.items()):
         yield ("alt", p), partial(data.aux_alt_series, p), aux.alt.series
         yield ("cusp", p), partial(data.aux_cusp_series, p), aux.cusp.series
+    for k, space in ((0, "M"), (2, "S"), (-2, "M"), (4, "S")):
+        yield (("first", k, space), partial(_first_series, data, k, space),
+               partial(_expand_first, data, k, space))
 
 
 class TestExpansionCache:
@@ -181,7 +184,8 @@ class TestExpansionCache:
         data = get_level(6)
         kinds = {kind for kind, _, _ in expansion_kinds(data)}
         assert "haupt" in data._expansions
-        assert set(data._expansions) <= kinds
+        # first elements are kept per (weight, space), whichever weights ran
+        assert {kind for kind in data._expansions if kind[0] != "first"} <= kinds
 
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
     def test_shallow_request_equals_direct_expansion(self, n):

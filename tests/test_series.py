@@ -11,7 +11,8 @@ import pytest
 
 from etaforms.errors import PrecisionExceeded, ZeroLeadingTerm
 from etaforms.leveldata import get_level
-from etaforms.series import QSeries, _convolve, _progression, deepest, normalize_coeff
+from etaforms.series import (QSeries, _convolve, _decode, _low_slots, _pack, _progression,
+                             _slot_width, deepest, normalize_coeff)
 
 
 def naive_product(a: QSeries, b: QSeries) -> QSeries:
@@ -255,6 +256,22 @@ class TestConvolveKernel:
                     c[i] = x << rng.randint(0, 300)
             out_len = rng.randint(1, min(len(a), len(b)) - 1)
             assert _convolve(tuple(a), tuple(b), out_len) == naive_convolve(a, b, out_len)
+
+    def test_packed_slots_round_trip_whatever_lies_above(self):
+        # the format the kernel and the basis row recurrence share: the n low
+        # slots read back exactly, for values at the edge of the width, with
+        # any carry or borrow from the slots above them
+        rng = random.Random(11)
+        for _ in range(200):
+            bits = rng.randint(1, 200)
+            width = _slot_width(bits)
+            n = rng.randint(1, 30)
+            values = [rng.choice([-1, 1]) * rng.randrange(1 << bits) for _ in range(n)]
+            packed = _pack(values, width)
+            assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))
+            above = rng.randint(-(1 << 300), 1 << 300) << (8 * width * n)
+            raw = _low_slots(packed + above, n, width)
+            assert _decode(raw, n, width) == values
 
     def test_fraction_operands_with_large_coprime_denominators(self):
         rng = random.Random(5)
