@@ -461,17 +461,14 @@ class TestRecurrence:
         fam = BasisCache().family(n, k, space, min_index=m0 + 30, min_prec=20)
         fam.element(m0)
         fam.element(m0 + 1)     # expands first, psi and g, once for the whole walk
-        steps, products = [], []
-        step = basis._Family._step
-        # a step is one packed product, the last row times psi; it runs on rows 0..d-1
-        monkeypatch.setattr(basis._Family, "_step",
-                            lambda fam, psi: steps.append(len(fam.packed)) or step(fam, psi))
+        steps = count_steps(monkeypatch)
+        products = []
         mul = QSeries.__mul__
         monkeypatch.setattr(QSeries, "__mul__",
                             lambda a, b: products.append(1) or mul(a, b))
         for m in range(m0 + 2, m0 + 31):
             fam.element(m)
-        assert steps == list(range(2, 31))
+        assert steps == list(range(m0 + 2, m0 + 31))
         assert products == []
 
     def test_sparse_scan_makes_under_half_the_products(self, monkeypatch):
@@ -511,6 +508,8 @@ def peeled_rows(n, k, space, reach, top):
 
 
 def count_steps(monkeypatch):
+    """The index of each row the recurrence computes: each step is one packed
+    product, the last row times psi."""
     steps = []
     step = basis._Family._step
     monkeypatch.setattr(basis._Family, "_step",
