@@ -366,13 +366,14 @@ class _Family:
         cols = self.cols
         if len(cols) <= d:
             if self._dual is None or self._dual.prec < self.m0 + d:
-                # once, as deep as the family's top asks
+                # once: as deep as the top asks, a first element as the dual family at this reach
                 need = max(self.top, self.m0 + d)
                 if (self.k, self.space) == (0, M_SPACE):
                     # theta relation at m = 1: g is -theta(psi), no weight form needed
                     g = self.data.hauptmodul_series(need).termwise(lambda e, c: -e * c)
                 else:
                     dual = M_SPACE if self.space == S_SPACE else S_SPACE
+                    need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
                     g = _first_series(self.data, 2 - self.k, dual, need)
                 self._dual = g
             c = [psi.coeff(j) for j in range(d)]
@@ -573,7 +574,7 @@ def _write_atomically(path: str, doc: dict) -> None:
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))  # C encoder, unlike dump
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
+from itertools import compress, count, islice
 from math import gcd
 
 from .basis import BasisCache, _extend_powers, _substitute, default_cache
@@ -127,7 +128,8 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
                   cache: BasisCache | None = None) -> CheckReport:
     """Coefficient symmetry between weights k and 2-k, plus the pairing
     mechanism: the constant term of (pole element) * (dual cusp element)
-    equals the coefficient sum and vanishes."""
+    equals the coefficient sum and vanishes.  Each constant term is summed
+    exactly over the two rows' support overlap, read from their coefficients."""
     cache = cache or default_cache()
     data = get_level(n)
     if n_max is None:
@@ -142,18 +144,25 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
     pad = 4
     fam_f = cache.family(n, k, "M", min_index=m_max, min_prec=n_max + 1 + pad)
     fam_g = cache.family(n, 2 - k, "S", min_index=n_max, min_prec=m_max + 1 + pad)
-    gs = fam_g.rows(range(n_lo, n_max + 1))
+    gs = [(g, *_support(g, m_max)) for g in fam_g.rows(range(n_lo, n_max + 1))]
+    fs = fam_f.rows(range(m_lo, m_max + 1))
     bad = []
-    pairs = 0
-    for f in fam_f.rows(range(m_lo, m_max + 1)):
-        for g in gs:
-            m, nn = f.index, g.index
-            a = f.integer_coeff(nn)
-            b = g.integer_coeff(m)
-            pairs += 1
+    for f in fs:
+        F, f_lo, f_u, f_ok = _support(f, n_max)
+        m = f.index
+        for g, G, g_lo, g_u, g_ok in gs:
+            nn = g.index
+            s = -f_lo - g_lo
+            # a = f's coefficient of q^nn and b = g's of q^m: F[s] and G[s] for rows that start
+            # at q^-index; every other row reads them with the checks of integer_coeff
+            a, b = (F[s], G[s]) if f_ok and g_ok else _checked_pair(f, g)
             if a != -b:
                 bad.append((m, nn, a, -b))
-            const = _pairing_constant_term(f.expansion, g.expansion)
+            # the constant term of f * g is the sum of F[i] G[s - i], and the rows vanish off
+            # F[0], F[f_u:], G[0] and G[g_u:]: only i = 0, i = s and f_u <= i <= s - g_u remain
+            const = F[0] * G[s] + F[s] * G[0]
+            if f_u <= s - g_u:
+                const += sum(map(operator.mul, F[f_u:s - g_u + 1], reversed(G[g_u:s - f_u + 1])))
             if const != a + b or const != 0:
                 bad.append((m, nn, "pairing constant", const, a + b))
     return CheckReport(
@@ -163,23 +172,37 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
         window=f"m in [{m_lo},{m_max}], n in [{n_lo},{n_max}]",
         counterexamples=bad,
         precision=n_max + 1,
-        details={"pairs": pairs, "vacuous": False},
+        details={"pairs": len(fs) * len(gs), "vacuous": False},
     )
 
 
-def _pairing_constant_term(f: QSeries, g: QSeries):
-    """Exact constant term of f*g; requires the finite support overlap known."""
-    t_hi = -g.valuation
-    if f.prec <= t_hi or g.prec <= -f.valuation:
-        raise InsufficientPrecision(
-            "product constant term not determined",
-            needed=max(t_hi + 1, -f.valuation + 1))
-    # f's coefficient of q^t, at index i = t - f.valuation, pairs with g's of
-    # q^-t, at index n - 1 - i
-    n = max(t_hi + 1 - f.valuation, 0)
-    fc = f.coeffs[:n]
-    gc = g.coeffs[:n]
-    return sum(map(operator.mul, fc[n - len(gc):], reversed(gc)))
+def _support(row, reach: int) -> tuple:
+    """(F, lo, u, ok): the row's coefficients as the pairing reads them, scanned once.
+
+    F[i] is the coefficient of q^(lo + i) for every exponent below the row's
+    precision, lo the lower of -index and the valuation.  The row vanishes off
+    F[0] and F[u:], u the index of the first nonzero coefficient after F[0],
+    read from the coefficients.  ok: the row starts at q^-index, holds only
+    integers and is known through q^reach.
+    """
+    e = row.expansion
+    lo = min(-row.index, e.valuation)
+    F = (0,) * (e.valuation - lo) + e.coeffs + (0,) * (e.prec - e.valuation - len(e.coeffs))
+    u = next(compress(count(1), islice(F, 1, None)), len(F))
+    ok = lo == -row.index and e.prec > reach and {int}.issuperset(map(type, e.coeffs))
+    return F, lo, u, ok
+
+
+def _checked_pair(f, g) -> tuple:
+    """f's coefficient of q^(g's index) and g's of q^(f's index), each by integer_coeff,
+    after which the exponents that the constant term of f * g reads must be known."""
+    a = f.integer_coeff(g.index)
+    b = g.integer_coeff(f.index)
+    fe, ge = f.expansion, g.expansion
+    if fe.prec <= -ge.valuation or ge.prec <= -fe.valuation:
+        raise InsufficientPrecision("product constant term not determined",
+                                    needed=max(1 - ge.valuation, 1 - fe.valuation))
+    return a, b
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +375,13 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     if p not in data.aux:
         raise UnsupportedPair(f"no involution data for level {n}, p={p}")
     aux = data.aux[p]
+    for r in r_set:
+        if gcd(r, p) != 1:
+            raise ValueError(f"residue {r} is not coprime to {p}")
+    if a_max < 0 or not r_set:
+        return CheckReport(
+            name="al-identity", params={"level": n, "p": p, "r_set": sorted(r_set), "a_max": a_max},
+            passed=True, window="empty", details={"vacuous": True})
     rows = []
     sign_works = {1: True, -1: True}
     max_m = max(p ** a_max * r for r in r_set)
@@ -364,9 +394,6 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     if any(e for e, _ in offset.terms()):
         raise NoConsistentSign(f"alternative generator for p={p} is not psi + constant")
     alt_shift = offset.coeff(0)
-    for r in r_set:
-        if gcd(r, p) != 1:
-            raise ValueError(f"residue {r} is not coprime to {p}")
     ms = sorted({p ** a * r for r in r_set for a in range(a_max + 1)})
     elements = dict(zip(ms, fam.rows(ms)))
     # row m has degree m in alt, and its left side is known to O(q^(f_m.prec // p))

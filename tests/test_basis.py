@@ -296,15 +296,33 @@ class TestCachePersistence:
         before = (tmp_path / "basis_N6_k0_M.json").read_bytes()
         disk.element(6, 0, "M", 3, prec=32)
 
-        def dump_then_fail(doc, fh, **kwargs):
-            fh.write('{"elements":')
-            raise OSError("disk full")
+        real_open = open
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
-        with pytest.raises(OSError):
+        def open_then_fail(path, mode="r"):
+            # the file's write puts out the first bytes of the document, then fails
+            fh = real_open(path, mode)
+
+            def write(text):
+                type(fh).write(fh, text[:11])
+                raise OSError("disk full")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(basis, "open", open_then_fail, raising=False)
+        with pytest.raises(OSError, match="disk full"):
             disk.save()
         assert (tmp_path / "basis_N6_k0_M.json").read_bytes() == before
         assert os.listdir(tmp_path) == ["basis_N6_k0_M.json"]
+
+    def test_saved_bytes_are_one_compact_sorted_dump(self, tmp_path):
+        disk = BasisCache(directory=str(tmp_path))
+        disk.element(6, 2, "S", 5, prec=40)
+        [path] = disk.save()
+        with open(path) as fh:
+            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            assert fh.read() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
     def test_unreadable_file_is_a_miss(self, tmp_path, capsys):
         disk = BasisCache(directory=str(tmp_path))

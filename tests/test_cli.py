@@ -170,6 +170,16 @@ class TestScan:
         doc = json.loads(out)
         assert doc["rows"] == [] and doc["summary"]["failures"] == 0
 
+    @pytest.mark.parametrize("bound", [["--amax", "-1"], ["--rset", ","]], ids=["amax", "rset"])
+    def test_vacuous_al_passes(self, capsys, bound):
+        # the involution check with no pole order to read passes, as the scan does
+        code, out, err = run_cli(capsys, "verify", "al", "--level", "6", "--p", "3", *bound,
+                                 "--format", "json", "--no-cache-dir")
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["passed"] and report["window"] == "empty"
+        assert report["details"] == {"vacuous": True}
+
     def test_bad_residue_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--level", "6", "--p", "2",
                              "--rset", "2", "--ncap", "20", "--no-cache-dir")
@@ -355,6 +365,22 @@ class TestValidateAndCache:
         assert fam.saved == len(fam.elements) and 1 in fam.elements
         monkeypatch.undo()
         code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+
+    @pytest.mark.parametrize("check", [
+        ["verify", "duality", "--level", "6", "--weight", "0", "--window", "15"],
+        ["verify", "genfun", "--level", "6", "--mmax", "8"],
+    ], ids=["duality", "genfun"])
+    def test_report_independent_of_cache_history(self, capsys, tmp_path, check):
+        cache_dir = str(tmp_path / "cache")
+        code, cold, _ = run_cli(capsys, *check, "--no-cache-dir")
+        assert code == 0
+        for space in (["--weight", "0"], ["--weight", "2", "--space", "S"]):
+            code, _, _ = run_cli(capsys, "expand", "--level", "6", *space, "--m", "12",
+                                 "--prec", "120", "--cache-dir", cache_dir)
+            assert code == 0
+        code, warm, _ = run_cli(capsys, *check, "--cache-dir", cache_dir)
         assert code == 0
         assert warm == cold
 

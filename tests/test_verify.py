@@ -1,12 +1,15 @@
 """Tests for the verification checks on small windows."""
 
 import json
+import operator
+from fractions import Fraction
 
 import pytest
 
-from etaforms.basis import BasisCache, _Family, decompose_in_hauptmodul
+from etaforms.basis import BasisCache, BasisElement, _Family, decompose_in_hauptmodul
 from etaforms.cli import main
-from etaforms.errors import NoConsistentSign
+from etaforms.errors import (InsufficientPrecision, IntegralityViolation, NoConsistentSign,
+                             PrecisionExceeded)
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
 from etaforms.series import QSeries
 from etaforms.verify import (
@@ -53,6 +56,121 @@ class TestDuality:
     def test_vacuous_window_flagged(self, cache):
         report = duality_check(6, 8, m_max=-20, n_max=5, cache=cache)
         assert report.passed and report.details["vacuous"]
+
+
+def naive_duality_check(n, k, m_max, n_max, cache):
+    """The reference: every pair read by integer_coeff, and the constant term of
+    f * g summed over the whole window of m + n + 1 products."""
+    data = get_level(n)
+    m_lo, n_lo = -data.n0(k), -data.n1(2 - k)
+    fam_f = cache.family(n, k, "M", min_index=m_max, min_prec=n_max + 5)
+    fam_g = cache.family(n, 2 - k, "S", min_index=n_max, min_prec=m_max + 5)
+    gs = fam_g.rows(range(n_lo, n_max + 1))
+    bad = []
+    pairs = 0
+    for f in fam_f.rows(range(m_lo, m_max + 1)):
+        for g in gs:
+            m, nn = f.index, g.index
+            a = f.integer_coeff(nn)
+            b = g.integer_coeff(m)
+            pairs += 1
+            if a != -b:
+                bad.append((m, nn, a, -b))
+            fe, ge = f.expansion, g.expansion
+            t_hi = -ge.valuation
+            if fe.prec <= t_hi or ge.prec <= -fe.valuation:
+                raise InsufficientPrecision("product constant term not determined",
+                                            needed=max(t_hi + 1, -fe.valuation + 1))
+            w = max(t_hi + 1 - fe.valuation, 0)
+            fc, gc = fe.coeffs[:w], ge.coeffs[:w]
+            const = sum(map(operator.mul, fc[w - len(gc):], reversed(gc)))
+            if const != a + b or const != 0:
+                bad.append((m, nn, "pairing constant", const, a + b))
+    return CheckReport(
+        name="duality",
+        params={"level": n, "weight": k, "m_max": m_max, "n_max": n_max},
+        passed=not bad,
+        window=f"m in [{m_lo},{m_max}], n in [{n_lo},{n_max}]",
+        counterexamples=bad,
+        precision=n_max + 1,
+        details={"pairs": pairs, "vacuous": False},
+    )
+
+
+def tamper(fam, m, exponent, value=None, prec=None):
+    """Replace row m of ``fam`` by a copy with the coefficient of q^exponent set
+    to ``value`` (default: one more), or cut to O(q^prec)."""
+    row = fam.elements[m]
+    e = row.expansion
+    if prec is not None:
+        expansion = e.truncated(prec)
+    else:
+        terms = dict(e.terms())
+        terms[exponent] = terms.get(exponent, 0) + 1 if value is None else value
+        expansion = QSeries.from_terms(terms, e.prec)
+    fam.elements[m] = BasisElement(level=row.level, weight=row.weight, index=m, space=row.space,
+                                   expansion=expansion, haupt_poly=row.haupt_poly)
+
+
+class TestDualityOverlap:
+    """The check sums each constant term over the two rows' support overlap;
+    the reference sums the whole window.  Reports must agree byte for byte."""
+
+    @pytest.mark.parametrize("k", [-4, -2, 0, 2, 4, 6])
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_matches_reference(self, n, k, cache):
+        data = get_level(n)
+        for dm, dn in ((6, 9), (9, 4)):
+            m_max, n_max = dm - data.n0(k), dn - data.n1(2 - k)
+            expected = naive_duality_check(n, k, m_max, n_max, cache)
+            report = duality_check(n, k, m_max, n_max, cache=cache)
+            assert report.passed and report.to_json() == expected.to_json()
+
+    # level 6, weight 0: f_m = q^-m + O(q), g_n = q^-n + O(1), the gaps q^(1-m)..q^0
+    # and q^(1-n)..q^-1; (side, row, exponent, value) with value None for one more.
+    # g_n is a multiple of theta(f_n), so it vanishes at q^0 and f's q^0 pairs with nothing;
+    # and no pair reads past q^9 in f or q^6 in g
+    @pytest.mark.parametrize("side, row, exponent, value, passes", [
+        ("f", 3, -3, 2, False), ("g", 4, -4, -1, False),               # the pivot changed
+        ("f", 3, -3, 0, False), ("g", 4, -4, 0, False),                # the pivot gone
+        ("f", 3, -1, None, False), ("g", 4, -2, None, False),          # in the gap
+        ("f", 2, 0, None, True),
+        ("f", 3, -1, Fraction(1, 3), False), ("g", 4, -2, Fraction(1, 2), False),
+        ("f", 2, 5, None, False), ("g", 3, 2, None, False),            # in the tail
+        ("f", 2, 20, None, True), ("g", 3, 15, Fraction(1, 2), True),
+        ("f", 2, -4, 1, False), ("g", 3, -5, 1, False),                # below the pole
+    ], ids=["f-pivot", "g-pivot", "f-no-pivot", "g-no-pivot", "f-gap", "g-gap", "f-gap-unpaired",
+            "f-gap-fraction", "g-gap-fraction", "f-tail", "g-tail", "f-tail-unread",
+            "g-tail-fraction-unread", "f-below", "g-below"])
+    def test_tampered_row_matches_reference(self, side, row, exponent, value, passes):
+        cache = BasisCache()
+        duality_check(6, 0, 6, 9, cache=cache)
+        tamper(cache._families[(6, 0, "M") if side == "f" else (6, 2, "S")], row, exponent, value)
+        expected = naive_duality_check(6, 0, 6, 9, cache)
+        report = duality_check(6, 0, 6, 9, cache=cache)
+        assert report.to_json() == expected.to_json()
+        assert report.passed == passes
+
+    @pytest.mark.parametrize("side, row, exponent, value, prec, error", [
+        ("f", 3, None, None, 5, PrecisionExceeded),
+        ("g", 4, None, None, 2, PrecisionExceeded),
+        ("f", 3, 5, Fraction(1, 2), None, IntegralityViolation),
+        ("g", 4, 3, Fraction(3, 2), None, IntegralityViolation),
+        ("g", 3, -30, 1, None, InsufficientPrecision),
+    ], ids=["f-short", "g-short", "f-fraction", "g-fraction", "g-below-past-f"])
+    def test_unreadable_row_raises_as_the_reference(self, side, row, exponent, value, prec,
+                                                    error):
+        outcomes = []
+        for check in (naive_duality_check, lambda *args: duality_check(*args[:4], cache=args[4])):
+            cache = BasisCache()
+            duality_check(6, 0, 6, 9, cache=cache)
+            key = (6, 0, "M") if side == "f" else (6, 2, "S")
+            tamper(cache._families[key], row, exponent, value, prec)
+            with pytest.raises(error) as caught:
+                check(6, 0, 6, 9, cache)
+            outcomes.append((type(caught.value), str(caught.value),
+                             getattr(caught.value, "needed", None)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestGenfun:
