@@ -378,10 +378,10 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     for r in r_set:
         if gcd(r, p) != 1:
             raise ValueError(f"residue {r} is not coprime to {p}")
+    params = {"level": n, "p": p, "r_set": sorted(r_set), "a_max": a_max}
     if a_max < 0 or not r_set:
-        return CheckReport(
-            name="al-identity", params={"level": n, "p": p, "r_set": sorted(r_set), "a_max": a_max},
-            passed=True, window="empty", details={"vacuous": True})
+        return CheckReport(name="al-identity", params=params, passed=True, window="empty",
+                           details={"vacuous": True})
     rows = []
     sign_works = {1: True, -1: True}
     max_m = max(p ** a_max * r for r in r_set)
@@ -444,7 +444,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     passed = corollary_ok
     return CheckReport(
         name="al-identity",
-        params={"level": n, "p": p, "r_set": sorted(r_set), "a_max": a_max},
+        params=params,
         passed=passed,
         window=f"{len(rows)} rows, series window {window}",
         counterexamples=[] if corollary_ok else [("corollary", corollary_bound)],

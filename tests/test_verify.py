@@ -161,13 +161,13 @@ class TestDualityOverlap:
     def test_unreadable_row_raises_as_the_reference(self, side, row, exponent, value, prec,
                                                     error):
         outcomes = []
-        for check in (naive_duality_check, lambda *args: duality_check(*args[:4], cache=args[4])):
+        for check in (naive_duality_check, duality_check):
             cache = BasisCache()
             duality_check(6, 0, 6, 9, cache=cache)
             key = (6, 0, "M") if side == "f" else (6, 2, "S")
             tamper(cache._families[key], row, exponent, value, prec)
             with pytest.raises(error) as caught:
-                check(6, 0, 6, 9, cache)
+                check(6, 0, 6, 9, cache=cache)
             outcomes.append((type(caught.value), str(caught.value),
                              getattr(caught.value, "needed", None)))
         assert outcomes[0] == outcomes[1]
