@@ -45,7 +45,6 @@ import operator
 import os
 import sys
 import threading
-from itertools import islice
 from math import gcd
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
@@ -101,8 +100,11 @@ class _Family:
     """All computed elements of one (level, weight, space) at one reach.
 
     Element m is first * P_m(psi), known to O(q^(reach + 8 - m)), so every
-    row holds L = reach + 8 coefficients, from q^-m on.  ``cols[t]`` holds the
-    x^t coefficients of P_(m0+t), P_(m0+t+1), ...
+    row holds L = reach + 8 coefficients, from q^-m on.  ``stride`` is the
+    step s that psi and first share (3 at level 18, 2 at level 12, else 1):
+    psi is q^-1 and row m is q^-m times a series in q^s, and the x^t
+    coefficient of P_(m0+d) vanishes unless s divides d - t, so ``cols[t]``
+    holds only the others, those of P_(m0+t), P_(m0+t+s), ...
 
     A request for rows up to degree D is served one of two ways, whichever
     ``_plan`` counts fewer series products for.  The row recurrence
@@ -146,7 +148,9 @@ class _Family:
         self._psi: QSeries | None = None
         self._psi_packed = 0
         self._psi_top = 0
+        self._first: QSeries | None = None
         self._dual: QSeries | None = None
+        self.integral = True            # first, psi and g hold only ints
 
     def element(self, m: int) -> BasisElement:
         return self.elements.get(m) or self.rows([m])[0]
@@ -159,26 +163,55 @@ class _Family:
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         degrees = sorted({m - self.m0 for m in ms if m not in self.elements})
         if degrees:
-            psi = self._psi = self._psi or self.data.hauptmodul_series(self.reach + 7)
-            first = _first_series(self.data, self.k, self.space, self.reach + 8 - self.m0)
-            self._poly(degrees[-1], psi)        # expands g, which the recurrence reads too
-            b = self._plan(degrees, first, psi)
+            self._tables(degrees[-1])
+            b = self._plan(degrees)
             if b is None:
-                self._recur(degrees, first, psi)
+                self._recur(degrees)
             else:
                 # first * psi^b is known to min(first.prec - b, psi.prec - m0 + 1 - b),
                 # and element m = m0 + b must reach O(q^(reach + 8 - m))
                 if not self.baby:
-                    self.baby.append(first)
-                _extend_powers(self.baby, psi, b - 1)
+                    self.baby.append(self._first)
+                _extend_powers(self.baby, self._psi, b - 1)
                 for d in degrees:
-                    self._evaluate(d, b, psi)
+                    self._evaluate(d, b)
             if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
                 # element m0 is first, so a later request for it costs no product
                 self._drop_tables()
         return [self.elements[m] for m in ms]
 
-    def _plan(self, degrees: list[int], first: QSeries, psi: QSeries) -> int | None:
+    def _tables(self, d: int) -> None:
+        """Set psi, first and their stride once, and g, the first element of
+        weight 2-k in the other space, as deep as degree d reads; decide whether
+        all three are integral whenever one of them is set."""
+        if self._psi is None:
+            psi = self._psi = self.data.hauptmodul_series(self.reach + 7)
+            first = self._first = _first_series(self.data, self.k, self.space,
+                                                self.reach + 8 - self.m0)
+            self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
+        if self._dual is None or self._dual.prec < self.m0 + d:
+            # once: as deep as the top asks, a first element as the dual family at this reach
+            need = max(self.top, self.m0 + d)
+            if (self.k, self.space) == (0, M_SPACE):
+                # theta relation at m = 1: g is -theta(psi), no weight form needed
+                g = self.data.hauptmodul_series(need).termwise(lambda e, c: -e * c)
+            else:
+                dual = M_SPACE if self.space == S_SPACE else S_SPACE
+                need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
+                g = _first_series(self.data, 2 - self.k, dual, need)
+            self._dual = g
+            self.integral = all({int}.issuperset(map(type, s.coeffs))
+                                for s in (self._first, self._psi, g))
+
+    def _g(self, n: int):
+        """g_(m0+n), added at degree n + 1: zero unless the stride divides n + 1, as c_n is."""
+        g = self._dual.coeff(self.m0 + n)
+        if g and (n + 1) % self.stride:
+            raise RuntimeError(f"g_{self.m0 + n} leaves the step-{self.stride} progression "
+                               f"of psi and first")
+        return g
+
+    def _plan(self, degrees: list[int]) -> int | None:
         """None for the recurrence, else the baby count B for Horner: whichever
         makes fewer series products.  The recurrence makes one per row from the
         contiguous end through the top degree; Horner one per new baby, d // B
@@ -195,12 +228,11 @@ class _Family:
             return max(b - have, 0) + steps + giant
 
         new_rows = top + 1 - self._contiguous_end()
-        integral = all({int}.issuperset(map(type, s.coeffs)) for s in (first, psi, self._dual) if s)
         # Horner makes no product only when its babies reach past the top degree
-        if integral and new_rows <= (have <= top):
+        if self.integral and new_rows <= (have <= top):
             return None
         b = min(range(max(have, top, 1), 0, -1), key=cost)
-        return None if integral and new_rows <= cost(b) else b
+        return None if self.integral and new_rows <= cost(b) else b
 
     def _stored(self, d: int) -> QSeries | None:
         """The stored row of degree d, if it has the family's precision and integer coefficients."""
@@ -218,7 +250,7 @@ class _Family:
             end += 1
         return end
 
-    def _recur(self, degrees: list[int], first: QSeries, psi: QSeries) -> None:
+    def _recur(self, degrees: list[int]) -> None:
         """Rows through the top degree by the generating function's recurrence.
 
         The coefficient of z^m in sum of f_m z^m * (psi(z) - psi(tau)) =
@@ -227,33 +259,28 @@ class _Family:
         first is row 0, so g_m folds into the term j = m - m0.  psi f_m is
         known to O(q^(reach + 7 - m)), row m+1's precision, and every other
         term deeper.  A row already stored is packed, not computed.
-
-        Row m is q^-m times a series in q^s, s the step that psi and first
-        share (3 at level 18, 2 at level 12), so a slot holds every s-th
-        coefficient: the L = reach + 8 coefficients fill ceil(L / s) slots.
         """
         if not self.packed:
-            self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
             self.slots = -(-(self.reach + 8) // self.stride)
-            self._psi_top = max(map(abs, psi.coeffs))
-            self._check(self.m0, [first.coeff(self.gap)])
-            self._append(first.coeffs)
+            self._psi_top = max(map(abs, self._psi.coeffs))
+            self._check(self.m0, [self._first.coeff(self.gap)])
+            self._append(self._first.coeffs)
         for d in degrees:
             if d < len(self.packed):
-                self._store(d, self._row(d, self.values[d]), psi)
+                self._store(d, self._row(d, self.values[d]))
         named = set(degrees)
         for d in range(len(self.packed), degrees[-1] + 1):
             stored = self._stored(d)
             if stored:
                 self._append(stored.coeffs)
                 continue
-            values = self._step(psi)
+            values = self._step()
             m = self.m0 + d
             self._check(m, values[:(self.gap + m) // self.stride + 1], self.stride)
             if d in named:
-                self._store(d, self._row(d, values), psi)
+                self._store(d, self._row(d, values))
 
-    def _step(self, psi: QSeries) -> list:
+    def _step(self) -> list:
         """Pack the row after the last packed one; return its slot values.
 
         One product, the last row times psi, then one C-level multiply-add
@@ -266,13 +293,12 @@ class _Family:
         n = len(self.packed) - 1
         m = self.m0 + n
         s = self.stride
+        psi = self._psi
         # psi * row n is known to row n+1's precision; every other term is known deeper
         assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
         terms = [(j, c) for j, c in enumerate(psi.coeffs[1:n + 1]) if c]      # j < n
-        fold = psi.coeff(n) - self._dual.coeff(m)
+        fold = psi.coeff(n) - self._g(n)
         if fold:
-            if (n + 1) % s:
-                raise RuntimeError(f"g_{m} leaves the step-{s} progression of psi and first")
             terms.append((n, fold))
         slots = self.slots
         self._fit((slots * self.maxima[n] * self._psi_top
@@ -310,21 +336,21 @@ class _Family:
         self._psi_packed = _pack(self._psi.coeffs[::self.stride], width)
         self.width = width
 
-    def _evaluate(self, d: int, b: int, psi: QSeries) -> None:
+    def _evaluate(self, d: int, b: int) -> None:
         """Element m0 + d as first * P(psi), by Horner in psi^b over blocks of b babies."""
         m = self.m0 + d
-        poly = self._poly(d, psi)
+        poly = self._poly(d)
         prec = self.reach + 8 - m
         g = d // b
         series = _substitute(poly[g * b:], self.baby, prec + g * b)
         if g and (self.giant is None or -self.giant.valuation != b):
-            self.giant = psi ** b
+            self.giant = self._psi ** b
         for g in range(g - 1, -1, -1):
             block = _substitute(poly[g * b:(g + 1) * b], self.baby, prec + g * b)
             series = series * self.giant + block
         assert series.prec == prec
         self._check(m, [series.coeff(t) for t in range(-m, self.gap + 1)])
-        self._store(d, series, psi)
+        self._store(d, series)
 
     def _check(self, m: int, head: list, step: int = 1) -> None:
         """Row m's coefficients of q^-m, q^(step-m), ... through q^gap must be
@@ -346,48 +372,41 @@ class _Family:
             values = coeffs
         return QSeries(-m, values, self.reach + 8 - m)
 
-    def _store(self, d: int, series: QSeries, psi: QSeries) -> None:
+    def _store(self, d: int, series: QSeries) -> None:
         m = self.m0 + d
-        poly = self._poly(d, psi)
+        poly = self._poly(d)
         if self.space == S_SPACE:
             poly = _convolve(self.data.cusp_poly, poly, len(self.data.cusp_poly) + len(poly) - 1)
         self.elements[m] = BasisElement(
             level=self.data.N, weight=self.k, index=m, space=self.space,
             expansion=series, haupt_poly=tuple(poly))
 
-    def _poly(self, d: int, psi: QSeries) -> list:
+    def _poly(self, d: int) -> list:
         """P_(m0+d), ascending, from the paper's generating function.
 
         H(z) = sum of P_n z^n satisfies H(z) (psi(z) - x) = g(z), where g is
         the first element of weight 2-k in the other space and leads with
         z^(m0-1).  With psi = q^-1 + sum of c_j q^j, the coefficient of z^n
-        gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n.
+        gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n.  With s
+        the stride, c_j = 0 unless s divides j + 1 and g_(m0+n) = 0 unless s
+        divides n + 1, so each sum runs over the stored ``cols[t]`` alone, and
+        the zero coefficients, x^t with s not dividing d - t, are put back here.
         """
+        self._tables(d)
         cols = self.cols
+        s = self.stride
         if len(cols) <= d:
-            if self._dual is None or self._dual.prec < self.m0 + d:
-                # once: as deep as the top asks, a first element as the dual family at this reach
-                need = max(self.top, self.m0 + d)
-                if (self.k, self.space) == (0, M_SPACE):
-                    # theta relation at m = 1: g is -theta(psi), no weight form needed
-                    g = self.data.hauptmodul_series(need).termwise(lambda e, c: -e * c)
-                else:
-                    dual = M_SPACE if self.space == S_SPACE else S_SPACE
-                    need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
-                    g = _first_series(self.data, 2 - self.k, dual, need)
-                self._dual = g
-            c = [psi.coeff(j) for j in range(d)]
-            first, step = _progression(c)       # c_j = 0 off first + step * i
-            first, step = first or 0, step or 1
-            c = c[first::step]
+            c = [self._psi.coeff(j) for j in range(s - 1, d, s)]     # c_(s-1), c_(2s-1), ...
             for i in range(len(cols) - 1, d):
                 # degree i + 1, top coefficient first so cols[t - 1][-1] is still degree i's
+                g = self._g(i)
                 cols.append([1])
-                for t in range(i, -1, -1):
-                    low = cols[t - 1][-1] if t else self._dual.coeff(self.m0 + i)
-                    rest = islice(reversed(cols[t]), first, None, step)
-                    cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, rest))))
-        return [cols[t][d - t] for t in range(d + 1)]
+                for t in range(i + 1 - s, -1, -s):
+                    low = cols[t - 1][-1] if t else g
+                    cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, reversed(cols[t])))))
+        poly = [0] * (d + 1)
+        poly[d % s::s] = [cols[t][(d - t) // s] for t in range(d % s, d + 1, s)]
+        return poly
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:

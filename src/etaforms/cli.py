@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
     elif args.check == "uplemma":
         report = verify.up_lemma_check(args.level, args.mmax, args.zero_window, cache=cache)
     elif args.check == "al":
-        r_set = _parse_int_list(args.rset) if args.rset else [1, 5, 7]
+        r_set = [1, 5, 7] if args.rset is None else _parse_int_list(args.rset)
         report = verify.al_identity_check(args.level, args.p, r_set, args.amax, cache=cache)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown check {args.check}")
@@ -217,8 +217,8 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     from . import verify
     cache = _resolve_cache(args)
-    r_set = _parse_int_list(args.rset) if args.rset else verify.admissible_residues(args.p)
-    s_set = _parse_int_list(args.sset) if args.sset else verify.admissible_residues(args.p)
+    r_set = verify.admissible_residues(args.p) if args.rset is None else _parse_int_list(args.rset)
+    s_set = verify.admissible_residues(args.p) if args.sset is None else _parse_int_list(args.sset)
     rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax,
                                           r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
     if args.require_weak:

@@ -249,24 +249,23 @@ class QSeries:
         return self * other.reciprocal()
 
     def reciprocal(self) -> "QSeries":
-        """Multiplicative inverse, valid up to the propagated precision."""
+        """Multiplicative inverse, valid up to the propagated precision.
+
+        Newton iteration (Brent and Kung, J. ACM 25 (1978)): when y holds the
+        first k terms of 1/u, u y - 1 vanishes below q^k, and y - y (u y - 1)
+        holds the first 2k.  Each step makes two kernel products, u y to 2k
+        terms and y times its terms from q^k on.
+        """
         if self.is_zero():
             raise ZeroLeadingTerm("cannot invert a series that is zero to precision")
-        lead = self.coeffs[0]
         n_terms = self.prec - self.valuation
-        inv_lead = normalize_coeff(Fraction(1, 1) / lead)
-        out = [0] * n_terms
-        out[0] = inv_lead
         u = self.coeffs
-        for n in range(1, n_terms):
-            acc = 0
-            top = min(n, len(u) - 1)
-            for j in range(1, top + 1):
-                c = u[j]
-                if c:
-                    acc += c * out[n - j]
-            if acc:
-                out[n] = normalize_coeff(-inv_lead * acc) if inv_lead != 1 else -acc
+        out = [normalize_coeff(Fraction(1, 1) / u[0])]
+        while len(out) < n_terms:
+            k = len(out)
+            top = min(2 * k, n_terms)
+            err = _convolve(u[:top], out, top)[k:]
+            out += [-c for c in _convolve(out, err, top - k)]
         return QSeries(-self.valuation, out, self.prec - 2 * self.valuation)
 
     # ------------------------------------------------------------------

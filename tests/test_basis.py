@@ -1,10 +1,11 @@
 """Tests for canonical basis construction."""
 
 import json
+import operator
 import os
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -24,7 +25,7 @@ from etaforms.basis import (
 from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExceeded
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, WeightForm, get_level
-from etaforms.series import QSeries
+from etaforms.series import QSeries, _progression, normalize_coeff
 from etaforms.verify import _shift_poly, congruence_scan, theta_check
 
 
@@ -449,7 +450,7 @@ class TestRecurrence:
         for k in range(-4, 7, 2):
             for space in ("M", "S"):
                 fam = basis._Family(get_level(n), k, space, 40)
-                got = [fam._poly(d, psi) for d in (40,) + tuple(range(40))]
+                got = [fam._poly(d) for d in (40,) + tuple(range(40))]
                 want = eliminated_polys(n, k, space, 40)
                 assert got == want[40:] + want[:40], (k, space)
                 assert [list(map(type, p)) for p in got] == \
@@ -507,6 +508,84 @@ class TestRecurrence:
         assert 2 * sum(counted) < 88_766_292
 
 
+def triangle_polys(fam, degree):
+    """P_(m0+d) for d <= degree by the full triangle: every x^t coefficient of
+    every P, the zeros off the stride included, each sum over the c_j on
+    psi's progression, read from the family's own psi and g."""
+    fam._tables(degree)
+    c = [fam._psi.coeff(j) for j in range(degree)]
+    first, step = _progression(c)
+    first, step = first or 0, step or 1
+    c = c[first::step]
+    cols = [[1]]
+    for i in range(degree):
+        cols.append([1])
+        for t in range(i, -1, -1):
+            low = cols[t - 1][-1] if t else fam._dual.coeff(fam.m0 + i)
+            rest = islice(reversed(cols[t]), first, None, step)
+            cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, rest))))
+    return [[cols[t][d - t] for t in range(d + 1)] for d in range(degree + 1)]
+
+
+def shifted_level(n, shift):
+    """Level n described by psi + shift, with the cusp polynomial rewritten in it:
+    the same spaces and elements, by other polynomials."""
+    data = get_level(n)
+    return LevelData(data.N, data.hauptmodul_quotient, data.hauptmodul_shift + shift,
+                     data.weight_forms, tuple(_shift_poly(data.cusp_poly, shift)), data.aux)
+
+
+class TestPolyTable:
+    DEGREE = 120
+
+    @pytest.mark.parametrize("space", ["M", "S"])
+    @pytest.mark.parametrize("n, step", [(12, 2), (18, 3)])
+    def test_strided_table_equals_the_triangle(self, n, step, space):
+        for k in range(-4, 7, 2):
+            fam = basis._Family(get_level(n), k, space, self.DEGREE + 8)
+            # the top degree first, then each lower one from the finished table
+            got = [fam._poly(d) for d in (self.DEGREE,) + tuple(range(self.DEGREE))]
+            want = triangle_polys(fam, self.DEGREE)
+            assert fam.stride == step, k
+            assert got == want[-1:] + want[:-1], (k, space)
+            assert [list(map(type, p)) for p in got] == \
+                [list(map(type, p)) for p in want[-1:] + want[:-1]]
+
+    def test_level18_stores_a_third_of_the_triangle(self):
+        fam = basis._Family(get_level(18), 0, "M", 330)
+        fam._poly(323)
+        triangle = 324 * 325 // 2
+        stored = sum(map(len, fam.cols))
+        # column t keeps the degrees t, t + 3, ... through 323
+        assert stored == sum((323 - t) // 3 + 1 for t in range(324))
+        assert abs(3 * stored - triangle) < 3 * 324
+
+    @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (-2, "M")])
+    def test_shifted_psi_is_served_at_step_one(self, k, space):
+        # psi + 1/2 has c_0 = 1/2, off the step-3 progression of level 18
+        shifted = basis._Family(shifted_level(18, Fraction(1, 2)), k, space, 40)
+        shifted._tables(15)
+        assert shifted.stride == 1 and not shifted.integral
+        assert [shifted._poly(d) for d in range(16)] == triangle_polys(shifted, 15)
+        got = shifted.rows(range(shifted.m0, shifted.m0 + 16))
+        plain = basis._Family(get_level(18), k, space, 40)
+        plain._tables(15)
+        assert plain.stride == 3 and plain.integral
+        want = plain.rows(range(plain.m0, plain.m0 + 16))
+        for a, b in zip(got, want):
+            assert (a.expansion.valuation, a.expansion.coeffs, a.expansion.prec) == \
+                (b.expansion.valuation, b.expansion.coeffs, b.expansion.prec)
+
+    @pytest.mark.parametrize("recurrence", ["poly", "rows"])
+    def test_g_off_the_progression_raises(self, recurrence):
+        fam = basis._Family(get_level(18), 0, "M", 40)
+        fam._tables(30)
+        # g_0 sits at degree 1, off the multiples of 3 where g may be nonzero
+        fam._dual = fam._dual + QSeries.monomial(1, 0, fam._dual.prec)
+        with pytest.raises(RuntimeError, match="g_0 leaves the step-3 progression"):
+            fam._poly(5) if recurrence == "poly" else fam.rows(range(0, 6))
+
+
 def peeled_rows(n, k, space, reach, top):
     """Rows m0..m0+top of a family at ``reach`` by the reference: first * psi^d,
     with the lower powers peeled off its pole, is the element; {m: fields}."""
@@ -531,7 +610,7 @@ def count_steps(monkeypatch):
     steps = []
     step = basis._Family._step
     monkeypatch.setattr(basis._Family, "_step",
-                        lambda fam, psi: steps.append(fam.m0 + len(fam.packed)) or step(fam, psi))
+                        lambda fam: steps.append(fam.m0 + len(fam.packed)) or step(fam))
     return steps
 
 
@@ -610,9 +689,7 @@ class TestRowRecurrence:
         # psi + 1/2, with the cusp polynomial rewritten in it, describes the same
         # spaces: the same elements, by polynomials that are not integral
         data = get_level(6)
-        shifted = LevelData(data.N, data.hauptmodul_quotient,
-                            data.hauptmodul_shift + Fraction(1, 2), data.weight_forms,
-                            tuple(_shift_poly(data.cusp_poly, Fraction(1, 2))), data.aux)
+        shifted = shifted_level(6, Fraction(1, 2))
         for k, space in ((0, "M"), (2, "S"), (-2, "M"), (4, "S")):
             fam = basis._Family(shifted, k, space, 40)
             got = fam.rows(range(fam.m0, fam.m0 + 12))

@@ -161,16 +161,20 @@ class TestScan:
         assert code == 2
         assert err.startswith("error: cannot write report") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"]], ids=["ncap", "amax"])
+    @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"], ["--rset", ""],
+                                       ["--sset", "", "--ncap", "20"]],
+                             ids=["ncap", "amax", "rset-empty", "sset-empty"])
     def test_vacuous_scan_passes(self, capsys, bound):
-        # no pole order survives the bound, so there is no row and no failure
+        # no pole order survives the bound, or an empty residue set leaves no
+        # index, so there is no row and no failure
         code, out, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", *bound,
                                  "--format", "json", "--no-cache-dir")
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["rows"] == [] and doc["summary"]["failures"] == 0
 
-    @pytest.mark.parametrize("bound", [["--amax", "-1"], ["--rset", ","]], ids=["amax", "rset"])
+    @pytest.mark.parametrize("bound", [["--amax", "-1"], ["--rset", ","], ["--rset", ""]],
+                             ids=["amax", "rset", "rset-empty"])
     def test_vacuous_al_passes(self, capsys, bound):
         # the involution check with no pole order to read passes, as the scan does
         code, out, err = run_cli(capsys, "verify", "al", "--level", "6", "--p", "3", *bound,

@@ -319,7 +319,78 @@ class TestConvolveKernel:
             assert power.coeffs == dense.coeffs
 
 
+def naive_reciprocal(s: QSeries) -> QSeries:
+    """Reference inverse: each coefficient of 1/s from all the ones before it."""
+    n_terms = s.prec - s.valuation
+    inv_lead = normalize_coeff(Fraction(1, 1) / s.coeffs[0])
+    out = [0] * n_terms
+    out[0] = inv_lead
+    u = s.coeffs
+    for n in range(1, n_terms):
+        acc = 0
+        for j in range(1, min(n, len(u) - 1) + 1):
+            if u[j]:
+                acc += u[j] * out[n - j]
+        if acc:
+            out[n] = normalize_coeff(-inv_lead * acc) if inv_lead != 1 else -acc
+    return QSeries(-s.valuation, out, s.prec - 2 * s.valuation)
+
+
+def random_unit(rng, length, lead, span=9, rational=False):
+    """A series of ``length`` known terms from a random valuation in -3..3, led by
+    ``lead``, the rest in -span..span, with two Fraction coefficients if ``rational``."""
+    coeffs = [lead] + [rng.randint(-span, span) for _ in range(length - 1)]
+    if rational:
+        for _ in range(min(length - 1, 2)):
+            coeffs[rng.randrange(1, length)] = Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+    val = rng.randint(-3, 3)
+    return QSeries(val, coeffs, val + length)
+
+
+LEADS = [1, -1, 3, -3, Fraction(2, 3)]
+
+
 class TestReciprocal:
+    def test_matches_the_double_loop(self):
+        rng = random.Random(14)
+        for length in [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 100]:
+            for lead in LEADS:
+                s = random_unit(rng, length, lead)
+                assert s.reciprocal().to_json() == naive_reciprocal(s).to_json(), (length, lead)
+        # a lead of 3 puts 3^n in the n-th denominator, and large coefficients
+        # make 1/s grow geometrically: the long inputs keep the double loop quick
+        for length in [255, 256, 257, 511, 733, 800]:
+            for lead in (1, -1):
+                s = random_unit(rng, length, lead, span=1)
+                assert s.reciprocal().to_json() == naive_reciprocal(s).to_json(), (length, lead)
+
+    def test_fractions_dilations_and_trailing_zeros(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            s = random_unit(rng, rng.randint(1, 60), rng.choice(LEADS), rational=rng.random() < 0.5)
+            s = s.dilated(rng.choice([1, 2, 3]))
+            if rng.random() < 0.5:
+                # zeros past the last stored coefficient, still known
+                s = QSeries(s.valuation, s.coeffs, s.prec + rng.randint(1, 30))
+            got = s.reciprocal()
+            assert got.to_json() == naive_reciprocal(s).to_json()
+            assert list(map(type, got.coeffs)) == list(map(type, naive_reciprocal(s).coeffs))
+
+    def test_level18_unit_on_its_progression(self):
+        # q * psi is a unit in q^3 with 733 known terms, as a cold level-18 scan inverts
+        psi = get_level(18).hauptmodul_series(732).shifted(1)
+        assert psi.reciprocal().to_json() == naive_reciprocal(psi).to_json()
+
+    def test_negative_powers_and_division(self):
+        rng = random.Random(16)
+        for _ in range(10):
+            s = random_unit(rng, rng.randint(1, 40), rng.choice(LEADS), rational=True)
+            t = random_unit(rng, rng.randint(1, 40), rng.choice(LEADS))
+            inv = naive_reciprocal(s)
+            assert (s ** -1).to_json() == inv.to_json()
+            assert (s ** -2).to_json() == (inv * inv).to_json()
+            assert (t / s).to_json() == (t * inv).to_json()
+
     def test_geometric_series(self):
         s = QSeries.from_terms({0: 1, 1: -1}, 8)
         r = s.reciprocal()
