@@ -377,7 +377,7 @@ class TestReciprocal:
             assert list(map(type, got.coeffs)) == list(map(type, naive_reciprocal(s).coeffs))
 
     def test_level18_unit_on_its_progression(self):
-        # q * psi is a unit in q^3 with 733 known terms, as a cold level-18 scan inverts
+        # q * psi is a unit in q^3 with 733 known terms, the size a cold level-18 scan inverts
         psi = get_level(18).hauptmodul_series(732).shifted(1)
         assert psi.reciprocal().to_json() == naive_reciprocal(psi).to_json()
 
