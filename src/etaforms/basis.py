@@ -468,12 +468,14 @@ def _substitute(coeffs, powers: list[QSeries], prec: int) -> QSeries:
 class BasisCache:
     """Memoized families with optional JSON persistence.
 
-    Writes are serialized; completed elements are immutable and safe to read
-    concurrently.  A family that falls short of a request's reach is rebuilt
-    at the larger of the reach needed and the one that doubles the deepest
-    index it served at the requested precision, so walking up one index at a
-    time costs O(log m) rebuilds.  A rebuilt family reproduces all previously
-    served coefficients.
+    ``rows`` and ``element`` build rows under the cache's lock, and the
+    checks and the construction API read rows through them only, so threads
+    may share a cache; a family taken from ``family`` is not locked, and
+    completed elements are immutable.  A family that falls short of a
+    request's reach is rebuilt at the larger of the reach needed and the one
+    that doubles the deepest index it served at the requested precision, so
+    walking up one index at a time costs O(log m) rebuilds.  A rebuilt
+    family reproduces all previously served coefficients.
     """
 
     def __init__(self, directory: str | None = None):
@@ -505,8 +507,15 @@ class BasisCache:
     def element(self, n: int, k: int, space: str, m: int, prec: int | None = None) -> BasisElement:
         if prec is None:
             prec = max(64, _gap(get_level(n), k, space) + 17)
+        return self.rows(n, k, space, [m], prec)[0]
+
+    def rows(self, n: int, k: int, space: str, ms, prec: int) -> list[BasisElement]:
+        """The elements of indices ``ms``, in order, from a family sized for
+        max(ms) at precision ``prec``; an empty ``ms`` touches no family."""
+        if not ms:
+            return []
         with self._lock:
-            return self.family(n, k, space, min_index=m, min_prec=prec).rows([m])[0]
+            return self.family(n, k, space, min_index=max(ms), min_prec=prec).rows(ms)
 
     def clear(self) -> None:
         with self._lock:

@@ -141,11 +141,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_expand(args) -> int:
     if args.prec is not None and args.prec < 16:
-        print("error: --prec must be at least 16", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--prec must be at least 16")
     if args.terms < 1:
-        print("error: --terms must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--terms must be positive")
     cache = _resolve_cache(args)
     space = "S" if args.space == "S" else "M"
     prec = args.prec if args.prec is not None else max(16, args.m + 2 * args.terms + 16)
@@ -173,8 +171,7 @@ def cmd_expand(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.prec < 1:
-        print("error: --prec must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--prec must be positive")
     report = validate_level(args.level, args.prec)
     doc = _document(
         "validate", {"level": args.level, "prec": args.prec},
@@ -216,16 +213,14 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     from . import verify
+    if args.require_weak and (args.level, args.p) not in ((18, 2), (12, 3)):
+        raise ValueError(f"no weak congruence case for level {args.level}, p = {args.p}")
     cache = _resolve_cache(args)
     r_set = verify.admissible_residues(args.p) if args.rset is None else _parse_int_list(args.rset)
     s_set = verify.admissible_residues(args.p) if args.sset is None else _parse_int_list(args.sset)
     rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax,
                                           r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
     if args.require_weak:
-        if (args.level, args.p) not in ((18, 2), (12, 3)):
-            print(f"error: no weak congruence case for level {args.level}, p = {args.p}",
-                  file=sys.stderr)
-            return EXIT_USAGE
         side = 3 if args.level == 18 else 2
         rows = [row for row in rows if row.r % side]
         report.details["rows_after_weak_filter"] = len(rows)

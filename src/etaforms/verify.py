@@ -142,10 +142,9 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
             passed=True, window="empty", details={"vacuous": True},
         )
     pad = 4
-    fam_f = cache.family(n, k, "M", min_index=m_max, min_prec=n_max + 1 + pad)
-    fam_g = cache.family(n, 2 - k, "S", min_index=n_max, min_prec=m_max + 1 + pad)
-    gs = [(g, *_support(g, m_max)) for g in fam_g.rows(range(n_lo, n_max + 1))]
-    fs = fam_f.rows(range(m_lo, m_max + 1))
+    gs = [(g, *_support(g, m_max))
+          for g in cache.rows(n, 2 - k, "S", range(n_lo, n_max + 1), m_max + 1 + pad)]
+    fs = cache.rows(n, k, "M", range(m_lo, m_max + 1), n_max + 1 + pad)
     bad = []
     for f in fs:
         F, f_lo, f_u, f_ok = _support(f, n_max)
@@ -227,11 +226,10 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
             needed=m_max + n0 + 1)
     min_tau_window = 8
     tau_prec = max(32, m_max + n0 + min_tau_window + 8)
-    fam = cache.family(n, k, "M", min_index=m_max, min_prec=tau_prec)
-    f_tau = {e.index: e.expansion for e in fam.rows(range(-n0, m_max + 1))}
+    f_tau = {e.index: e.expansion for e in cache.rows(n, k, "M", range(-n0, m_max + 1), tau_prec)}
     psi_tau = data.hauptmodul_series(tau_prec)
     psi_z = data.hauptmodul_series(z_prec)
-    [g_z] = cache.family(n, 2 - k, "S", min_index=n0 + 1, min_prec=z_prec).rows([n0 + 1])
+    [g_z] = cache.rows(n, 2 - k, "S", [n0 + 1], z_prec)
     first_tau = f_tau[-n0]
 
     cells = 0
@@ -277,12 +275,12 @@ def theta_check(n: int, m_max: int, window: int = 40,
                 cache: BasisCache | None = None) -> CheckReport:
     """theta(weight-0 element of pole order m) = -m * (weight-2 cusp element)."""
     cache = cache or default_cache()
-    fam_f = cache.family(n, 0, "M", min_index=m_max, min_prec=window + m_max + 4)
-    fam_g = cache.family(n, 2, "S", min_index=m_max, min_prec=window + m_max + 4)
     ms = range(1, m_max + 1)
+    fs = cache.rows(n, 0, "M", ms, window + m_max + 4)
+    gs = cache.rows(n, 2, "S", ms, window + m_max + 4)
     bad = []
     checked = 0
-    for m, f, g in zip(ms, fam_f.rows(ms), fam_g.rows(ms)):
+    for m, f, g in zip(ms, fs, gs):
         lhs = theta(f.expansion)
         rhs = g.expansion.scalar_mul(-m)
         hi = min(lhs.prec, rhs.prec)
@@ -315,13 +313,11 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
     p = 2 if n == 12 else 3
     cache = cache or default_cache()
     prec_n = p * (zero_window + m_max + 2)
-    fam_n = cache.family(n, 0, "M", min_index=m_max, min_prec=prec_n)
-    fam_6 = cache.family(6, 0, "M", min_index=max(1, m_max // p), min_prec=zero_window + m_max + 2)
-    targets = fam_6.rows(range(1, m_max // p + 1))
+    targets = cache.rows(6, 0, "M", range(1, m_max // p + 1), zero_window + m_max + 2)
     bad = []
     zero_cases = 0
     mapped_cases = 0
-    for m, element in enumerate(fam_n.rows(range(1, m_max + 1)), 1):
+    for m, element in enumerate(cache.rows(n, 0, "M", range(1, m_max + 1), prec_n), 1):
         image = u_p(element.expansion, p)
         if image.prec < zero_window:
             raise InsufficientPrecision(f"image precision {image.prec} below {zero_window}",
@@ -386,7 +382,6 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     sign_works = {1: True, -1: True}
     max_m = max(p ** a_max * r for r in r_set)
     prec = p * (window + 2)
-    fam = cache.family(n, 0, "M", min_index=max_m, min_prec=prec + 4)
     alt = data.aux_alt_series(p, prec + max_m + 8)
     if alt.valuation != -1 or alt.coeff(-1) != 1:
         raise ValueError("generator must have expansion q^-1 + ...")
@@ -395,7 +390,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
         raise NoConsistentSign(f"alternative generator for p={p} is not psi + constant")
     alt_shift = offset.coeff(0)
     ms = sorted({p ** a * r for r in r_set for a in range(a_max + 1)})
-    elements = dict(zip(ms, fam.rows(ms)))
+    elements = dict(zip(ms, cache.rows(n, 0, "M", ms, prec + 4)))
     # row m has degree m in alt, and its left side is known to O(q^(f_m.prec // p))
     deepest = max(e.expansion.prec for e in elements.values()) // p
     cusp_powers = _extend_powers([QSeries.one(deepest)], data.aux_cusp_series(p, deepest), max_m)
@@ -528,13 +523,16 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
     for x in list(r_set) + list(s_set):
         if gcd(x, p) != 1:
             raise ValueError(f"residue {x} is not coprime to {p}")
+    congruence_bound(n, p, 1, 0, 1)     # refuses a pair with no congruence data before any row
     m_values = sorted({p ** a * r for a in range(a_max + 1) for r in r_set if p ** a * r <= n_cap})
     if not m_values:
         return [], CheckReport(
             name="congruence-scan", params={"level": n, "p": p}, passed=True,
             window="empty", details={"vacuous": True})
-    fam = cache.family(n, 0, "M", min_index=max(m_values), min_prec=n_cap + 1)
-    elements = dict(zip(m_values, fam.rows(m_values)))
+    n_values = [(b, s, p ** b * s) for b in range(b_max + 1) for s in sorted(s_set)
+                if p ** b * s <= n_cap]
+    # with no n to read, no row is built
+    elements = dict(zip(m_values, cache.rows(n, 0, "M", m_values if n_values else [], n_cap + 1)))
     rows = []
     failures = 0
     zero_rows = 0
@@ -544,34 +542,29 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
             m = p ** a * r
             if m > n_cap:
                 continue
-            elem = elements[m]
-            for b in range(b_max + 1):
-                for s in sorted(s_set):
-                    nn = p ** b * s
-                    if nn > n_cap:
-                        continue
-                    coeff = elem.integer_coeff(nn)
-                    bound, case = congruence_bound(n, p, a, b, r)
-                    if coeff == 0:
-                        val = None
-                        zero_rows += 1
-                        status = "no claim" if bound is None else "pass"
+            for b, s, nn in n_values:
+                coeff = elements[m].integer_coeff(nn)
+                bound, case = congruence_bound(n, p, a, b, r)
+                if coeff == 0:
+                    val = None
+                    zero_rows += 1
+                    status = "no claim" if bound is None else "pass"
+                else:
+                    val = _valuation(coeff, p)
+                    if bound is None:
+                        status = "no claim"
+                    elif val >= bound:
+                        status = "pass"
                     else:
-                        val = _valuation(coeff, p)
-                        if bound is None:
-                            status = "no claim"
-                        elif val >= bound:
-                            status = "pass"
-                        else:
-                            status = "fail"
-                            failures += 1
-                        if bound is not None and val is not None:
-                            slack = val - bound
-                            prev = sharpness.get(case)
-                            sharpness[case] = slack if prev is None else min(prev, slack)
-                    rows.append(ValuationRow(N=n, p=p, a=a, b=b, r=r, s=s, m=m, n=nn,
-                                             coeff=coeff, valuation=val, bound=bound,
-                                             status=status))
+                        status = "fail"
+                        failures += 1
+                    if bound is not None and val is not None:
+                        slack = val - bound
+                        prev = sharpness.get(case)
+                        sharpness[case] = slack if prev is None else min(prev, slack)
+                rows.append(ValuationRow(N=n, p=p, a=a, b=b, r=r, s=s, m=m, n=nn,
+                                         coeff=coeff, valuation=val, bound=bound,
+                                         status=status))
     report = CheckReport(
         name="congruence-scan",
         params={"level": n, "p": p, "a_max": a_max, "b_max": b_max,

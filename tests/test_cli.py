@@ -18,6 +18,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_rows(fam, ms):
+    raise AssertionError(f"basis rows {list(ms)} built")
+
+
 class TestExpand:
     def test_hauptmodul_expansion_text(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "--level", "6", "--weight", "0",
@@ -53,9 +57,12 @@ class TestExpand:
         assert "below minimal pole order" in err
 
     def test_small_prec_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "expand", "--level", "6", "--weight", "0",
-                             "--m", "1", "--prec", "8", "--no-cache-dir")
-        assert code == 2
+        code, out, err = run_cli(capsys, "expand", "--level", "6", "--weight", "0",
+                                 "--m", "1", "--prec", "8", "--no-cache-dir")
+        assert (code, out, err) == (2, "", "error: --prec must be at least 16\n")
+        code, out, err = run_cli(capsys, "expand", "--level", "6", "--weight", "0",
+                                 "--m", "1", "--terms", "0", "--no-cache-dir")
+        assert (code, out, err) == (2, "", "error: --terms must be positive\n")
 
     def test_json_output_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "--level", "12", "--weight", "0",
@@ -162,11 +169,13 @@ class TestScan:
         assert err.startswith("error: cannot write report") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"], ["--rset", ""],
-                                       ["--sset", "", "--ncap", "20"]],
-                             ids=["ncap", "amax", "rset-empty", "sset-empty"])
-    def test_vacuous_scan_passes(self, capsys, bound):
+                                       ["--sset", "", "--ncap", "20"],
+                                       ["--level", "10", "--p", "5", "--sset", ","]],
+                             ids=["ncap", "amax", "rset-empty", "sset-empty", "p5-sset-empty"])
+    def test_vacuous_scan_passes(self, capsys, monkeypatch, bound):
         # no pole order survives the bound, or an empty residue set leaves no
-        # index, so there is no row and no failure
+        # index, so there is no row, no failure, and no basis row is built
+        monkeypatch.setattr(basis._Family, "rows", refuse_rows)
         code, out, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", *bound,
                                  "--format", "json", "--no-cache-dir")
         assert code == 0 and err == ""
@@ -199,12 +208,18 @@ class TestScan:
         # only residues r with 3 not dividing r remain
         assert all(int(line.split(",")[4]) % 3 != 0 for line in lines)
 
-    def test_require_weak_rejected_for_strong_only_pair(self, capsys):
-        code, _, err = run_cli(capsys, "scan", "--level", "6", "--p", "2",
-                               "--amax", "1", "--bmax", "1", "--ncap", "20",
-                               "--require-weak", "--no-cache-dir")
-        assert code == 2
-        assert "no weak congruence case" in err
+    def test_require_weak_rejected_for_strong_only_pair(self, capsys, monkeypatch):
+        # refused before any basis row, as is a pair with no congruence data,
+        # vacuous or not
+        monkeypatch.setattr(basis._Family, "rows", refuse_rows)
+        for argv, message in (
+                (["--p", "2", "--amax", "1", "--bmax", "1", "--ncap", "20", "--require-weak"],
+                 "no weak congruence case for level 6, p = 2"),
+                (["--p", "3", "--require-weak"], "no weak congruence case for level 6, p = 3"),
+                (["--p", "5"], "no congruence data for level 6, p = 5"),
+                (["--p", "5", "--ncap", "-1"], "no congruence data for level 6, p = 5")):
+            code, out, err = run_cli(capsys, "scan", "--level", "6", *argv, "--no-cache-dir")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestValidateAndCache:
@@ -216,8 +231,7 @@ class TestValidateAndCache:
     @pytest.mark.parametrize("prec", ["0", "-5"])
     def test_validate_nonpositive_prec_is_usage_error(self, capsys, prec):
         code, out, err = run_cli(capsys, "validate", "--level", "6", "--prec", prec)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert (code, out, err) == (2, "", "error: --prec must be positive\n")
 
     @pytest.mark.parametrize("n, prec, needed", [(6, "1", 3), (6, "2", 3), (10, "6", 7),
                                                  (18, "6", 7)])

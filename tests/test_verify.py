@@ -2,6 +2,8 @@
 
 import json
 import operator
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -384,3 +386,38 @@ def test_report_round_trip(cache):
         "name": again["check"], "params": again["params"], "passed": again["passed"],
         "window": again["window"],
     }), CheckReport)
+
+
+def test_threads_sharing_a_cache_get_single_thread_reports():
+    # every row build takes the cache's lock, so checks that share a cache
+    # report what each reports alone; theta is left out, as its count depends
+    # on the cache's history
+    checks = [lambda c: duality_check(6, 0, 12, 24, cache=c),
+              lambda c: duality_check(10, 2, 12, 24, cache=c),
+              lambda c: genfun_check(6, 0, 8, cache=c)]
+    alone = [check(BasisCache()).to_json() for check in checks]
+
+    def worker(shared, first, got, errors):
+        try:
+            for i in range(first, first + len(checks)):
+                got.append((i % len(checks), checks[i % len(checks)](shared).to_json()))
+        except Exception as err:            # noqa: BLE001 - reported below
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            shared, got, errors = BasisCache(), [], []
+            threads = [threading.Thread(target=worker, args=(shared, t, got, errors))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert len(got) == 6 * len(checks)
+            assert all(report == alone[i] for i, report in got)
+    finally:
+        sys.setswitchinterval(old)
