@@ -26,12 +26,15 @@ evaluates every polynomial at a series.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
-so element m is known to O(q^(reach + 8 - m)).  Index and precision trade
-one for one, so index I at precision P needs reach P + max(I, m0), where m0
-= -n0(k) or -n1(k) is the first element's pole order.  A family that falls
-short is rebuilt from scratch at the larger of that need and the reach that
-doubles the deepest index it served at P; rebuilt values extend previously
-served ones exactly.  A family restored from disk holds the saved elements
+so element m can be known to O(q^(reach + 8 - m)).  Index and precision
+trade one for one, so index I at precision P needs reach P + max(I, m0),
+where m0 = -n0(k) or -n1(k) is the first element's pole order.  A family that
+falls short is rebuilt from scratch at the larger of that need and the reach
+that doubles the deepest index it served at P; rebuilt values extend
+previously served ones exactly.  A request names a precision per row: Horner
+evaluates a row only that far and stores it so, and a stored row shallower
+than a later request is evaluated again; a row from the recurrence has the
+family's precision.  A family restored from disk holds the saved elements
 and computes any other index itself.
 """
 
@@ -45,7 +48,8 @@ import operator
 import os
 import sys
 import threading
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
@@ -99,12 +103,13 @@ def _gap(data: LevelData, k: int, space: str) -> int:
 class _Family:
     """All computed elements of one (level, weight, space) at one reach.
 
-    Element m is first * P_m(psi), known to O(q^(reach + 8 - m)), so every
-    row holds L = reach + 8 coefficients, from q^-m on.  ``stride`` is the
-    step s that psi and first share (3 at level 18, 2 at level 12, else 1):
-    psi is q^-1 and row m is q^-m times a series in q^s, and the x^t
-    coefficient of P_(m0+d) vanishes unless s divides d - t, so ``cols[t]``
-    holds only the others, those of P_(m0+t), P_(m0+t+s), ...
+    Element m is first * P_m(psi), known to O(q^(reach + 8 - m)), so a row
+    of the family's precision holds reach + 8 coefficients, from q^-m on; a
+    Horner row asked for to O(q^prec) holds only those below q^prec.
+    ``stride`` is the step s that psi and first share (3 at level 18, 2 at
+    level 12, else 1): psi is q^-1 and row m is q^-m times a series in q^s,
+    and the x^t coefficient of P_(m0+d) vanishes unless s divides d - t, so
+    the P table (``polys``, see ``_poly``) keeps only the others.
 
     A request for rows up to degree D is served one of two ways, whichever
     ``_plan`` counts fewer series products for.  The row recurrence
@@ -136,7 +141,7 @@ class _Family:
         self._drop_tables()
 
     def _drop_tables(self) -> None:
-        self.cols: list[list] = [[1]]
+        self._drop_polys(1)
         self.baby: list[QSeries] = []
         self.giant: QSeries | None = None
         self.packed: list[int] = []
@@ -153,15 +158,25 @@ class _Family:
         self.integral = True            # first, psi and g hold only ints
 
     def element(self, m: int) -> BasisElement:
-        return self.elements.get(m) or self.rows([m])[0]
+        return self.rows([m])[0]
 
-    def rows(self, ms) -> list[BasisElement]:
-        """Elements ``ms``, the missing ones built as ``_plan`` chooses."""
+    def rows(self, ms, precs=None) -> list[BasisElement]:
+        """Elements ``ms``, the missing ones built as ``_plan`` chooses.
+
+        ``precs``, one precision per index, asks for row m only to O(q^prec),
+        by default the family's O(q^(reach + 8 - m)): Horner evaluates it that
+        far, and a stored row shallower than that is evaluated again.  The
+        recurrence always gives a row the family's precision.
+        """
         if min(ms, default=self.m0) < self.m0:
             raise IndexBelowRange(
                 f"index {min(ms)} below minimal pole order {self.m0} for "
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
-        degrees = sorted({m - self.m0 for m in ms if m not in self.elements})
+        asked: dict[int, int] = {}
+        for m, prec in zip(ms, precs or [self.reach + 8 - m for m in ms]):
+            asked[m] = max(asked.get(m, prec), prec)
+        degrees = sorted(m - self.m0 for m, prec in asked.items()
+                         if m not in self.elements or self.elements[m].expansion.prec < prec)
         if degrees:
             self._tables(degrees[-1])
             b = self._plan(degrees)
@@ -174,7 +189,7 @@ class _Family:
                     self.baby.append(self._first)
                 _extend_powers(self.baby, self._psi, b - 1)
                 for d in degrees:
-                    self._evaluate(d, b)
+                    self._evaluate(d, b, asked[self.m0 + d])
             if all(i in self.elements for i in range(self.m0 + 1, self.top + 1)):
                 # element m0 is first, so a later request for it costs no product
                 self._drop_tables()
@@ -202,6 +217,10 @@ class _Family:
             self._dual = g
             self.integral = all({int}.issuperset(map(type, s.coeffs))
                                 for s in (self._first, self._psi, g))
+            scale = lcm(*[c.denominator for s in (self._psi, g) for c in s.coeffs
+                          if type(c) is not int])
+            if scale != self.scale:
+                self._drop_polys(scale)
 
     def _g(self, n: int):
         """g_(m0+n), added at degree n + 1: zero unless the stride divides n + 1, as c_n is."""
@@ -336,11 +355,10 @@ class _Family:
         self._psi_packed = _pack(self._psi.coeffs[::self.stride], width)
         self.width = width
 
-    def _evaluate(self, d: int, b: int) -> None:
-        """Element m0 + d as first * P(psi), by Horner in psi^b over blocks of b babies."""
+    def _evaluate(self, d: int, b: int, prec: int) -> None:
+        """Element m0 + d to O(q^prec) as first * P(psi), by Horner in psi^b over blocks of b babies."""
         m = self.m0 + d
         poly = self._poly(d)
-        prec = self.reach + 8 - m
         g = d // b
         series = _substitute(poly[g * b:], self.baby, prec + g * b)
         if g and (self.giant is None or -self.giant.valuation != b):
@@ -389,24 +407,60 @@ class _Family:
         z^(m0-1).  With psi = q^-1 + sum of c_j q^j, the coefficient of z^n
         gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n.  With s
         the stride, c_j = 0 unless s divides j + 1 and g_(m0+n) = 0 unless s
-        divides n + 1, so each sum runs over the stored ``cols[t]`` alone, and
-        the zero coefficients, x^t with s not dividing d - t, are put back here.
+        divides n + 1, so the x^t coefficient of P_(m0+d) vanishes unless s
+        divides d - t.  The table keeps each P on that progression as one
+        Kronecker-packed integer, slot u holding x^(d mod s + u s), in the
+        kernel's format: P_(n-j) has the slots of P_(n+1), and x P_n is P_n
+        moved up one slot when s divides n + 1, else P_n itself, so each
+        nonzero c_j costs one C-level multiply-add.  The slot width obeys a
+        bound from the decoded maxima, as in ``_step``, and grows by
+        repacking.  The table holds Q_n(x) = L^n P_n(x / L), L the lcm of the
+        denominators of psi and g, which obeys the same recurrence with the
+        integers c_j L^(j+1) and g_n L^(n+1); P is read back by dividing.
         """
         self._tables(d)
-        cols = self.cols
-        s = self.stride
-        if len(cols) <= d:
-            c = [self._psi.coeff(j) for j in range(s - 1, d, s)]     # c_(s-1), c_(2s-1), ...
-            for i in range(len(cols) - 1, d):
-                # degree i + 1, top coefficient first so cols[t - 1][-1] is still degree i's
-                g = self._g(i)
-                cols.append([1])
-                for t in range(i + 1 - s, -1, -s):
-                    low = cols[t - 1][-1] if t else g
-                    cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, reversed(cols[t])))))
+        s, scale = self.stride, self.scale
+        values, maxima = self.poly_values, self.poly_maxima
+        if len(values) <= d:
+            c = [normalize_coeff(self._psi.coeff(j) * scale ** (j + 1)) for j in range(s - 1, d, s)]
+            sizes = list(map(abs, c))
+            for n in range(len(values) - 1, d):
+                # c_j P_(n-j) for j = s-1, 2s-1, ... <= n: the rows n+1-s, n+1-2s, ... down to 0
+                lower = slice(n + 1 - s, None, -s) if n + 1 >= s else slice(0)
+                g = normalize_coeff(self._g(n) * scale ** (n + 1))
+                self._fit_polys((maxima[n] + abs(g)
+                                 + sum(map(operator.mul, sizes, maxima[lower]))).bit_length())
+                w = self.poly_width
+                acc = (self.polys[n] << 8 * w if (n + 1) % s == 0 else self.polys[n]) + g
+                acc -= sum(map(operator.mul, c, self.polys[lower]))
+                slots = (n + 1) // s + 1
+                row = _decode(_low_slots(acc, slots, w), slots, w)
+                self.polys.append(acc)
+                values.append(row)
+                maxima.append(max(map(abs, row)))
+        row = values[d]
+        if scale != 1:
+            row = [normalize_coeff(Fraction(v, scale ** (d - t)))
+                   for t, v in zip(range(d % s, d + 1, s), row)]
         poly = [0] * (d + 1)
-        poly[d % s::s] = [cols[t][(d - t) // s] for t in range(d % s, d + 1, s)]
+        poly[d % s::s] = row
         return poly
+
+    def _fit_polys(self, bits: int) -> None:
+        """Widen the P table's slots to hold values below 2^bits, as ``_fit`` does the rows'."""
+        width = _slot_width(bits)
+        if width > self.poly_width:
+            width += width // 4
+            self.polys = [_pack(row, width) for row in self.poly_values]
+            self.poly_width = width
+
+    def _drop_polys(self, scale: int) -> None:
+        """Start the P table afresh, on Q_n(x) = scale^n P_n(x / scale): Q_0 = 1."""
+        self.scale = scale
+        self.polys = [1]
+        self.poly_values = [[1]]
+        self.poly_maxima = [1]
+        self.poly_width = 1
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
@@ -509,13 +563,20 @@ class BasisCache:
             prec = max(64, _gap(get_level(n), k, space) + 17)
         return self.rows(n, k, space, [m], prec)[0]
 
-    def rows(self, n: int, k: int, space: str, ms, prec: int) -> list[BasisElement]:
-        """The elements of indices ``ms``, in order, from a family sized for
-        max(ms) at precision ``prec``; an empty ``ms`` touches no family."""
+    def rows(self, n: int, k: int, space: str, ms, prec) -> list[BasisElement]:
+        """The elements of indices ``ms``, in order, each known to O(q^prec) at
+        least, past its gap: ``prec`` is one precision for every index or a
+        sequence of one per index.  The family is sized for the deepest of
+        them; an empty ``ms`` touches no family."""
         if not ms:
             return []
+        gap = _gap(get_level(n), k, space)
+        precs = [max(p, gap + 1) for p in ([prec] * len(ms) if isinstance(prec, int) else prec)]
+        top = max(ms)
+        need = max(p + max(m, -gap) for m, p in zip(ms, precs))
         with self._lock:
-            return self.family(n, k, space, min_index=max(ms), min_prec=prec).rows(ms)
+            fam = self.family(n, k, space, min_index=top, min_prec=need - max(top, -gap))
+            return fam.rows(ms, precs)
 
     def clear(self) -> None:
         with self._lock:

@@ -238,6 +238,8 @@ def cmd_scan(args) -> int:
 def cmd_cache(args) -> int:
     cache = _resolve_cache(args)
     directory = cache.directory
+    if directory and os.path.exists(directory) and not os.path.isdir(directory):
+        raise ValueError(f"cache directory {directory} is not a directory")
     files = cache.files() if directory and os.path.isdir(directory) else None
     if args.action == "info" and files is None:
         lines = [f"cache directory: {directory or '(memory only)'} (absent)"]

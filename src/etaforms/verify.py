@@ -15,7 +15,7 @@ from itertools import compress, count, islice
 from math import gcd
 
 from .basis import BasisCache, _extend_powers, _substitute, default_cache
-from .errors import InsufficientPrecision, NoConsistentSign, UnsupportedPair
+from .errors import InsufficientPrecision, IntegralityViolation, NoConsistentSign, UnsupportedPair
 from .leveldata import get_level
 from .operators import theta, u_p
 from .series import QSeries
@@ -275,6 +275,9 @@ def theta_check(n: int, m_max: int, window: int = 40,
                 cache: BasisCache | None = None) -> CheckReport:
     """theta(weight-0 element of pole order m) = -m * (weight-2 cusp element)."""
     cache = cache or default_cache()
+    if m_max < 1:
+        return CheckReport(name="theta", params={"level": n, "m_max": m_max}, passed=True,
+                           window="empty", details={"vacuous": True})
     ms = range(1, m_max + 1)
     fs = cache.rows(n, 0, "M", ms, window + m_max + 4)
     gs = cache.rows(n, 2, "S", ms, window + m_max + 4)
@@ -311,6 +314,10 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
     if n not in (12, 18):
         raise ValueError("index-lowering is available for levels 12 and 18 only")
     p = 2 if n == 12 else 3
+    if m_max < 1:
+        return CheckReport(
+            name="uplemma", params={"level": n, "p": p, "m_max": m_max, "zero_window": zero_window},
+            passed=True, window="empty", details={"vacuous": True})
     cache = cache or default_cache()
     prec_n = p * (zero_window + m_max + 2)
     targets = cache.rows(6, 0, "M", range(1, m_max // p + 1), zero_window + m_max + 2)
@@ -531,8 +538,17 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
             window="empty", details={"vacuous": True})
     n_values = [(b, s, p ** b * s) for b in range(b_max + 1) for s in sorted(s_set)
                 if p ** b * s <= n_cap]
+    # a(m, n) for n > m, n a pole order the scan builds anyway, is read from row n at
+    # q^m as m a(n, m) / n: n a(m, n) = m a(n, m) follows from a(m, n) = -b(n, m) and
+    # theta f_n = -n g_n.  So each row is asked for only through its deepest read.
+    poles = set(m_values)
+    source = {(m, nn): (nn, m) if 0 < m < nn and nn in poles else (m, nn)
+              for m in m_values for _, _, nn in n_values}
+    depth: dict[int, int] = {}
+    for row, t in source.values():
+        depth[row] = max(depth.get(row, t), t)
     # with no n to read, no row is built
-    elements = dict(zip(m_values, cache.rows(n, 0, "M", m_values if n_values else [], n_cap + 1)))
+    elements = dict(zip(depth, cache.rows(n, 0, "M", list(depth), [t + 1 for t in depth.values()])))
     rows = []
     failures = 0
     zero_rows = 0
@@ -543,7 +559,14 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
             if m > n_cap:
                 continue
             for b, s, nn in n_values:
-                coeff = elements[m].integer_coeff(nn)
+                row, t = source[m, nn]
+                coeff = elements[row].integer_coeff(t)
+                if row != m:
+                    if m * coeff % nn:
+                        raise IntegralityViolation(
+                            f"{nn} does not divide {m} a({nn},{m}) = {m * coeff} at level {n}, "
+                            f"so n a(m, n) = m a(n, m) fails")
+                    coeff = m * coeff // nn
                 bound, case = congruence_bound(n, p, a, b, r)
                 if coeff == 0:
                     val = None

@@ -418,9 +418,9 @@ class TestPowerTable:
         fam = cache._families[(10, 0, "M")]
         assert len(fam.elements) == 20 and 0 not in fam.elements
         dropped = ([[1]], [], None, [])
-        assert (fam.cols, fam.baby, fam.giant, fam.packed) == dropped
+        assert (fam.poly_values, fam.baby, fam.giant, fam.packed) == dropped
         first = fam.element(0)
-        assert (fam.cols, fam.baby, fam.giant, fam.packed) == dropped
+        assert (fam.poly_values, fam.baby, fam.giant, fam.packed) == dropped
         want = BasisCache().family(10, 0, "M", min_index=fam.top,
                                    min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
@@ -527,6 +527,30 @@ def triangle_polys(fam, degree):
     return [[cols[t][d - t] for t in range(d + 1)] for d in range(degree + 1)]
 
 
+def column_polys(fam, degree):
+    """P_(m0+d) for d <= degree by the column recurrence on psi's progression:
+    cols[t] holds the x^t coefficients of P_(m0+t), P_(m0+t+s), ..., each one
+    dot product over the c_j with s dividing j + 1, read from the family's own
+    psi and g."""
+    fam._tables(degree)
+    s = fam.stride
+    c = [fam._psi.coeff(j) for j in range(s - 1, degree, s)]
+    cols = [[1]]
+    for i in range(degree):
+        # degree i + 1, top coefficient first so cols[t - 1][-1] is still degree i's
+        g = fam._dual.coeff(fam.m0 + i)
+        cols.append([1])
+        for t in range(i + 1 - s, -1, -s):
+            low = cols[t - 1][-1] if t else g
+            cols[t].append(normalize_coeff(low - sum(map(operator.mul, c, reversed(cols[t])))))
+    polys = []
+    for d in range(degree + 1):
+        poly = [0] * (d + 1)
+        poly[d % s::s] = [cols[t][(d - t) // s] for t in range(d % s, d + 1, s)]
+        polys.append(poly)
+    return polys
+
+
 def shifted_level(n, shift):
     """Level n described by psi + shift, with the cusp polynomial rewritten in it:
     the same spaces and elements, by other polynomials."""
@@ -551,11 +575,29 @@ class TestPolyTable:
             assert [list(map(type, p)) for p in got] == \
                 [list(map(type, p)) for p in want[-1:] + want[:-1]]
 
+    @pytest.mark.parametrize("space", ["M", "S"])
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_packed_table_equals_the_columns(self, n, space):
+        for k in range(-4, 7, 2):
+            fam = basis._Family(get_level(n), k, space, 68)
+            got = [fam._poly(d) for d in (60,) + tuple(range(60))]
+            want = column_polys(fam, 60)
+            assert got == want[-1:] + want[:-1], (k, space)
+            assert [list(map(type, p)) for p in got] == \
+                [list(map(type, p)) for p in want[-1:] + want[:-1]]
+
+    @pytest.mark.parametrize("n", [18, 6])
+    def test_packed_table_equals_the_columns_at_a_scan_depth(self, n):
+        # the cold level-18 scan reads P_324; level 6 is the widest table
+        fam = basis._Family(get_level(n), 0, "M", 332)
+        assert [fam._poly(d) for d in range(325)] == column_polys(fam, 324)
+
     def test_level18_stores_a_third_of_the_triangle(self):
         fam = basis._Family(get_level(18), 0, "M", 330)
         fam._poly(323)
         triangle = 324 * 325 // 2
-        stored = sum(map(len, fam.cols))
+        assert len(fam.polys) == 324
+        stored = sum(map(len, fam.poly_values))
         # column t keeps the degrees t, t + 3, ... through 323
         assert stored == sum((323 - t) // 3 + 1 for t in range(324))
         assert abs(3 * stored - triangle) < 3 * 324
@@ -567,6 +609,7 @@ class TestPolyTable:
         shifted._tables(15)
         assert shifted.stride == 1 and not shifted.integral
         assert [shifted._poly(d) for d in range(16)] == triangle_polys(shifted, 15)
+        assert [shifted._poly(d) for d in range(41)] == column_polys(shifted, 40)
         got = shifted.rows(range(shifted.m0, shifted.m0 + 16))
         plain = basis._Family(get_level(18), k, space, 40)
         plain._tables(15)
@@ -774,6 +817,41 @@ class TestReach:
         fam = BasisCache().family(n, k, space, min_index=index, min_prec=prec)
         for m in sorted({fam.m0, fam.m0 + 1, index // 2, index}):
             assert fam.element(m).expansion.prec == prec + index + 8 - m
+
+
+class TestAskedPrecision:
+    def test_horner_rows_are_known_to_the_precision_asked_for(self):
+        cache = BasisCache()
+        got = cache.rows(6, 0, "M", [40, 7, 23], [12, 30, 24])
+        fam = cache._families[(6, 0, "M")]
+        assert fam.giant is not None            # scattered rows are Horner's
+        assert [e.expansion.prec for e in got] == [12, 30, 24]
+        want = BasisCache().family(6, 0, "M", min_index=40, min_prec=30)
+        for e in got:
+            assert e.expansion.agrees_with(want.element(e.index).expansion)
+            assert e.haupt_poly == want.element(e.index).haupt_poly
+
+    def test_a_row_shallower_than_asked_is_evaluated_again(self):
+        cache = BasisCache()
+        shallow, _ = cache.rows(18, 0, "M", [90, 10], [5, 120])
+        assert shallow.expansion.prec == 5
+        # the family, sized for row 10 at O(q^120), serves the deeper request: a new row
+        fam = cache._families[(18, 0, "M")]
+        [deep] = cache.rows(18, 0, "M", [90], 40)
+        assert cache._families[(18, 0, "M")] is fam
+        assert deep.expansion.prec == 40 and deep.expansion.agrees_with(shallow.expansion)
+        assert cache.rows(18, 0, "M", [90], 20)[0] is deep
+        # with no precision, a row is asked for to the family's
+        whole = fam.element(90)
+        assert whole.expansion.prec == fam.reach + 8 - 90 > 40
+        assert whole.expansion.agrees_with(deep.expansion) and fam.rows([90])[0] is whole
+
+    def test_recurrence_rows_keep_the_family_precision(self):
+        cache = BasisCache()
+        got = cache.rows(10, 2, "S", range(1, 11), 20)
+        fam = cache._families[(10, 2, "S")]
+        assert fam.giant is None
+        assert [e.expansion.prec for e in got] == [fam.reach + 8 - m for m in range(1, 11)]
 
 
 class TestDeepElements:

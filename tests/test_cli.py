@@ -18,7 +18,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def refuse_rows(fam, ms):
+def refuse_rows(fam, ms, precs=None):
     raise AssertionError(f"basis rows {list(ms)} built")
 
 
@@ -101,6 +101,17 @@ class TestVerify:
         assert code == 0 and err == ""
         report = json.loads(out)["report"]
         assert report["passed"] and report["details"]["vacuous"]
+
+    @pytest.mark.parametrize("argv", [["theta", "--level", "6", "--mmax", "0"],
+                                      ["uplemma", "--level", "12", "--mmax", "-3"]],
+                             ids=["theta", "uplemma"])
+    def test_request_with_no_index_is_vacuous(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(basis._Family, "rows", refuse_rows)
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "json", "--no-cache-dir")
+        assert code == 0 and err == ""
+        report = json.loads(out)["report"]
+        assert report["passed"] and report["window"] == "empty"
+        assert report["details"] == {"vacuous": True}
 
     def test_al(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "al", "--level", "6", "--p", "3",
@@ -255,6 +266,15 @@ class TestValidateAndCache:
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
         assert code == 0 and "removed 1" in out
 
+    @pytest.mark.parametrize("action", ["info", "clear"])
+    def test_cache_dir_that_is_a_file_is_usage_error(self, capsys, tmp_path, action):
+        path = tmp_path / "cache"
+        path.write_text("not a cache")
+        code, out, err = run_cli(capsys, "cache", action, "--cache-dir", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_text() == "not a cache"
+
     def test_cache_ignores_files_it_did_not_write(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         os.mkdir(cache_dir)
@@ -357,6 +377,22 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *argv, "--p", "2", "--cache-dir", cache_dir)
         assert code == 0
         code, cold, _ = run_cli(capsys, *argv, "--p", "2", "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+
+    @pytest.mark.parametrize("sset", [[], ["--ncap", "100", "--sset", "7,9,11"]],
+                             ids=["default", "sset"])
+    def test_rows_stored_shallow_are_read_again_for_another_prime(self, capsys, tmp_path, sset):
+        # the p=3 scan leaves each row on disk only as deep as it read it; the
+        # p=2 scan evaluates again any row it reads deeper: with s in 7, 9, 11
+        # it reads rows 1, 2, 3, 4, 6 and 12 at q^88, not at q^m, from the same family
+        cache_dir = str(tmp_path / "cache")
+        argv = ["scan", "--level", "6", "--ncap", "150", "--format", "csv"]
+        code, _, _ = run_cli(capsys, *argv, "--p", "3", "--cache-dir", cache_dir)
+        assert code == 0
+        code, warm, _ = run_cli(capsys, *argv, "--p", "2", *sset, "--cache-dir", cache_dir)
+        assert code == 0
+        code, cold, _ = run_cli(capsys, *argv, "--p", "2", *sset, "--no-cache-dir")
         assert code == 0
         assert warm == cold
 

@@ -65,12 +65,10 @@ def naive_duality_check(n, k, m_max, n_max, cache):
     f * g summed over the whole window of m + n + 1 products."""
     data = get_level(n)
     m_lo, n_lo = -data.n0(k), -data.n1(2 - k)
-    fam_f = cache.family(n, k, "M", min_index=m_max, min_prec=n_max + 5)
-    fam_g = cache.family(n, 2 - k, "S", min_index=n_max, min_prec=m_max + 5)
-    gs = fam_g.rows(range(n_lo, n_max + 1))
+    gs = cache.rows(n, 2 - k, "S", range(n_lo, n_max + 1), m_max + 5)
     bad = []
     pairs = 0
-    for f in fam_f.rows(range(m_lo, m_max + 1)):
+    for f in cache.rows(n, k, "M", range(m_lo, m_max + 1), n_max + 5):
         for g in gs:
             m, nn = f.index, g.index
             a = f.integer_coeff(nn)
@@ -168,6 +166,10 @@ class TestDualityOverlap:
             duality_check(6, 0, 6, 9, cache=cache)
             key = (6, 0, "M") if side == "f" else (6, 2, "S")
             tamper(cache._families[key], row, exponent, value, prec)
+            # serve every row as stored: cache.rows would evaluate a row shorter
+            # than it is asked for again, and so repair the shortened one
+            cache.rows = lambda n, k, space, ms, prec: [cache._families[n, k, space].elements[m]
+                                                         for m in ms]
             with pytest.raises(error) as caught:
                 check(6, 0, 6, 9, cache=cache)
             outcomes.append((type(caught.value), str(caught.value),
@@ -366,6 +368,40 @@ class TestCongruenceScan:
     def test_bad_residue_rejected(self, cache):
         with pytest.raises(ValueError):
             congruence_scan(6, 2, 1, 1, r_set=[2], s_set=[1], n_cap=20, cache=cache)
+
+    @pytest.mark.parametrize("n, p", [(6, 3), (6, 2), (10, 5), (10, 2), (12, 3), (12, 2),
+                                      (18, 3), (18, 2)])
+    def test_rows_equal_the_direct_reference(self, n, p):
+        # the reference reads every a(m, n) from row m at q^n; the scan reads a(m, n)
+        # for n > m, n one of its pole orders, from row n as m a(n, m) / n
+        cache = BasisCache()
+        default = admissible_residues(p)
+        for s_set in (default, admissible_residues(p, 5)[2:]):
+            rows, report = congruence_scan(n, p, 3, 3, s_set=s_set, n_cap=120, cache=cache)
+            assert report.passed
+            ms = sorted({p ** a * r for a in range(4) for r in default if p ** a * r <= 120})
+            direct = dict(zip(ms, BasisCache().rows(n, 0, "M", ms, 121)))
+            want = [(a, b, r, s, p ** a * r, p ** b * s,
+                     direct[p ** a * r].integer_coeff(p ** b * s))
+                    for a in range(4) for r in default if p ** a * r <= 120
+                    for b in range(4) for s in sorted(s_set) if p ** b * s <= 120]
+            assert [(x.a, x.b, x.r, x.s, x.m, x.n, x.coeff) for x in rows] == want, s_set
+
+    def test_rows_are_asked_for_only_through_their_deepest_read(self):
+        cache = BasisCache()
+        congruence_scan(18, 3, 4, 4, cache=cache)
+        rows = cache._families[(18, 0, "M")].elements
+        # with the default sets every read of row m lies at or below q^m
+        assert {m: e.expansion.prec for m, e in rows.items()} == {m: m + 1 for m in rows}
+        assert max(rows) == 324
+
+    def test_shallow_side_read_that_does_not_divide_raises(self):
+        cache = BasisCache()
+        congruence_scan(6, 2, 1, 1, r_set=[1], s_set=[1], n_cap=20, cache=cache)
+        # a(1, 2) is read as a(2, 1) / 2, and an odd a(2, 1) breaks 2 a(1, 2) = a(2, 1)
+        tamper(cache._families[(6, 0, "M")], 2, 1, 1)
+        with pytest.raises(IntegralityViolation, match="2 does not divide 1 a"):
+            congruence_scan(6, 2, 1, 1, r_set=[1], s_set=[1], n_cap=20, cache=cache)
 
 
 def test_report_defaults_are_not_shared():
