@@ -184,7 +184,7 @@ class _Family:
                 self._recur(degrees)
             else:
                 # first * psi^b is known to min(first.prec - b, psi.prec - m0 + 1 - b),
-                # and element m = m0 + b must reach O(q^(reach + 8 - m))
+                # and element m = m0 + b is asked for to at most O(q^(reach + 8 - m))
                 if not self.baby:
                     self.baby.append(self._first)
                 _extend_powers(self.baby, self._psi, b - 1)
