@@ -9,7 +9,6 @@ from .basis import (                                    # noqa: F401
     BasisElement,
     a_coeff,
     b_coeff,
-    decompose_in_hauptmodul,
     f_basis,
     first_element,
     g_basis,

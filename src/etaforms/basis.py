@@ -12,17 +12,20 @@ z^m = first(tau) g(z) / (psi(z) - psi(tau)), with g the first element of
 weight 2-k in the other space.  Its z^m coefficient gives two recurrences:
 one on the polynomials P, and one on the rows themselves,
 f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, where
-psi = q^-1 + sum of c_j q^j.  A caller names all the rows it needs in one
-request, and the planner serves it whichever way makes fewer series
-products.  A run of consecutive indices continues the row recurrence from
-the first row not yet built, one product per new row, on rows kept as
-Kronecker-packed integers (see _Family._recur).  Scattered rows, as a
-congruence scan reads, are evaluated as first * P(psi) by baby-step/
-giant-step (Paterson-Stockmeyer): Horner in psi^B over blocks that combine
-the baby powers first * psi^b, b < B.  Each result is checked to be q^-m
-with zeros through the gap, which makes it the unique canonical element.
-One routine, _extend_powers, grows every power table, and one, _substitute,
-evaluates every polynomial at a series.
+psi = q^-1 + sum of c_j q^j.  First, psi and g hold only integers at every
+supported level, so every row and every P does too, and a family whose
+inputs are not integral raises IntegralityViolation.  Both recurrences run
+on Kronecker-packed integers, one _Packed table each.  A caller names all
+the rows it needs in one request, and the planner serves it whichever way
+makes fewer series products.  A run of consecutive indices continues the
+row recurrence from the first row not yet built, one product per new row
+(see _Family._recur).  Scattered rows, as a congruence scan reads, are
+evaluated as first * P(psi) by baby-step/giant-step (Paterson-Stockmeyer):
+Horner in psi^B over blocks that combine the baby powers first * psi^b,
+b < B.  Each result is checked to be q^-m with zeros through the gap, which
+makes it the unique canonical element.  One routine, _extend_powers, grows
+every power table, and one, _substitute, evaluates every polynomial at a
+series.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
@@ -48,13 +51,12 @@ import operator
 import os
 import sys
 import threading
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
 from .series import (QSeries, _bias, _convolve, _decode, _low_slots, _pack, _progression, _slot_width,
-                     deepest, normalize_coeff, parse_coeffs)
+                     deepest, parse_coeffs)
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -100,6 +102,50 @@ def _gap(data: LevelData, k: int, space: str) -> int:
     return data.n0(k) if space == M_SPACE else data.n1(k)
 
 
+class _Packed:
+    """Integer rows, each one Kronecker-packed integer in the kernel's format
+    (see ``_convolve``) with slots of ``width`` bytes: ``packed`` holds the
+    rows, ``values`` each row's slot values, decoded once, and ``maxima``
+    their largest magnitudes, from which a caller bounds the next row."""
+
+    __slots__ = ("packed", "values", "maxima", "width")
+
+    def __init__(self):
+        self.packed: list[int] = []
+        self.values: list[list] = []
+        self.maxima: list[int] = []
+        self.width = 0
+
+    def fit(self, bits: int) -> None:
+        """Widen the slots to hold values below 2^bits, repacking every row from its values.
+
+        The maxima grow from row to row, so a widening adds a quarter for the rows to come.
+        """
+        width = _slot_width(bits)
+        if width > self.width:
+            width += width // 4
+            self.packed = [_pack(values, width) for values in self.values]
+            self.width = width
+
+    def append(self, values: list) -> None:
+        """Pack one more row from its values."""
+        top = max(map(abs, values))
+        self.fit(top.bit_length())
+        self.packed.append(_pack(values, self.width))
+        self.values.append(values)
+        self.maxima.append(top)
+
+    def push(self, acc: int, slots: int) -> list:
+        """Keep the low ``slots`` slots of ``acc``, a sum of packed rows whose
+        slots each hold their value, as one more row; return its values."""
+        raw = _low_slots(acc, slots, self.width)
+        self.packed.append(raw - _bias(slots, self.width))
+        values = _decode(raw, slots, self.width)
+        self.values.append(values)
+        self.maxima.append(max(map(abs, values)))
+        return values
+
+
 class _Family:
     """All computed elements of one (level, weight, space) at one reach.
 
@@ -114,13 +160,10 @@ class _Family:
     A request for rows up to degree D is served one of two ways, whichever
     ``_plan`` counts fewer series products for.  The row recurrence
     continues from the contiguous end, the first degree neither packed nor
-    stored, with one product per new row: ``packed`` holds rows 0, 1, ... as
-    Kronecker-packed integers, ``stride`` coefficients apart, in slots of
-    ``width`` bytes; ``values`` holds each row's slot values, decoded once,
-    and ``maxima`` their largest magnitudes.  The width obeys an exact bound
-    from those maxima and grows, with every row repacked from its values,
-    when a new row needs more.  After a table drop or a cache load the
-    stored rows are packed again, with no product.
+    stored, with one product per new row: ``table`` holds rows 0, 1, ...,
+    ``stride`` coefficients apart, as packed integers whose slot width obeys
+    an exact bound from the maxima of the decoded rows.  After a table drop
+    or a cache load the stored rows are packed again, with no product.
     Horner evaluates each named row alone: ``baby`` holds first * psi^b,
     and ``giant`` the last psi^B it used.  ``elements`` receives only the
     rows a request named, so a cache file holds what callers asked for.
@@ -141,21 +184,18 @@ class _Family:
         self._drop_tables()
 
     def _drop_tables(self) -> None:
-        self._drop_polys(1)
+        self.polys = _Packed()          # P_m0 = 1, ... on psi's progression
+        self.polys.append([1])
         self.baby: list[QSeries] = []
         self.giant: QSeries | None = None
-        self.packed: list[int] = []
-        self.values: list[list] = []
-        self.maxima: list[int] = []
-        self.width = 0
+        self.table = _Packed()          # rows m0, m0 + 1, ... on psi's progression
         self.stride = 1
         self.slots = 0                  # per packed row: ceil((reach + 8) / stride)
         self._psi: QSeries | None = None
-        self._psi_packed = 0
+        self._psi_packed = (0, 0)       # (width, psi packed in slots of that width)
         self._psi_top = 0
         self._first: QSeries | None = None
         self._dual: QSeries | None = None
-        self.integral = True            # first, psi and g hold only ints
 
     def element(self, m: int) -> BasisElement:
         return self.rows([m])[0]
@@ -197,8 +237,8 @@ class _Family:
 
     def _tables(self, d: int) -> None:
         """Set psi, first and their stride once, and g, the first element of
-        weight 2-k in the other space, as deep as degree d reads; decide whether
-        all three are integral whenever one of them is set."""
+        weight 2-k in the other space, as deep as degree d reads; refuse, with
+        IntegralityViolation, a coefficient of the three that is not an int."""
         if self._psi is None:
             psi = self._psi = self.data.hauptmodul_series(self.reach + 7)
             first = self._first = _first_series(self.data, self.k, self.space,
@@ -214,13 +254,13 @@ class _Family:
                 dual = M_SPACE if self.space == S_SPACE else S_SPACE
                 need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
                 g = _first_series(self.data, 2 - self.k, dual, need)
+            for name, s in (("first", self._first), ("psi", self._psi), ("g", g)):
+                c = next((c for c in s.coeffs if type(c) is not int), 0)
+                if c:
+                    raise IntegralityViolation(
+                        f"{name} of (level {self.data.N}, weight {self.k}, space {self.space}) "
+                        f"holds {c}, not an integer")
             self._dual = g
-            self.integral = all({int}.issuperset(map(type, s.coeffs))
-                                for s in (self._first, self._psi, g))
-            scale = lcm(*[c.denominator for s in (self._psi, g) for c in s.coeffs
-                          if type(c) is not int])
-            if scale != self.scale:
-                self._drop_polys(scale)
 
     def _g(self, n: int):
         """g_(m0+n), added at degree n + 1: zero unless the stride divides n + 1, as c_n is."""
@@ -235,8 +275,7 @@ class _Family:
         makes fewer series products.  The recurrence makes one per row from the
         contiguous end through the top degree; Horner one per new baby, d // B
         steps per row and a binary powering for a new giant.  Ties go to the
-        recurrence, then to the larger B.  A Fraction in first, psi or g, which
-        no packed slot holds, leaves Horner."""
+        recurrence, then to the larger B."""
         top = degrees[-1]
         have = len(self.baby)
         held = self.giant and -self.giant.valuation
@@ -248,10 +287,10 @@ class _Family:
 
         new_rows = top + 1 - self._contiguous_end()
         # Horner makes no product only when its babies reach past the top degree
-        if self.integral and new_rows <= (have <= top):
+        if new_rows <= (have <= top):
             return None
         b = min(range(max(have, top, 1), 0, -1), key=cost)
-        return None if self.integral and new_rows <= cost(b) else b
+        return None if new_rows <= cost(b) else b
 
     def _stored(self, d: int) -> QSeries | None:
         """The stored row of degree d, if it has the family's precision and integer coefficients."""
@@ -264,7 +303,7 @@ class _Family:
 
     def _contiguous_end(self) -> int:
         """The first degree past row 0 (first itself) that is neither packed nor stored."""
-        end = max(len(self.packed), 1)
+        end = max(len(self.table.packed), 1)
         while self._stored(end):
             end += 1
         return end
@@ -279,19 +318,20 @@ class _Family:
         known to O(q^(reach + 7 - m)), row m+1's precision, and every other
         term deeper.  A row already stored is packed, not computed.
         """
-        if not self.packed:
+        table = self.table
+        if not table.packed:
             self.slots = -(-(self.reach + 8) // self.stride)
             self._psi_top = max(map(abs, self._psi.coeffs))
             self._check(self.m0, [self._first.coeff(self.gap)])
-            self._append(self._first.coeffs)
+            table.append(self._first.coeffs[::self.stride])
         for d in degrees:
-            if d < len(self.packed):
-                self._store(d, self._row(d, self.values[d]))
+            if d < len(table.packed):
+                self._store(d, self._row(d, table.values[d]))
         named = set(degrees)
-        for d in range(len(self.packed), degrees[-1] + 1):
+        for d in range(len(table.packed), degrees[-1] + 1):
             stored = self._stored(d)
             if stored:
-                self._append(stored.coeffs)
+                table.append(stored.coeffs[::self.stride])
                 continue
             values = self._step()
             m = self.m0 + d
@@ -309,7 +349,8 @@ class _Family:
         slot of the sum holds its coefficient; the n kept slots are read once
         and stay packed.
         """
-        n = len(self.packed) - 1
+        table = self.table
+        n = len(table.packed) - 1
         m = self.m0 + n
         s = self.stride
         psi = self._psi
@@ -319,41 +360,15 @@ class _Family:
         fold = psi.coeff(n) - self._g(n)
         if fold:
             terms.append((n, fold))
-        slots = self.slots
-        self._fit((slots * self.maxima[n] * self._psi_top
-                   + sum(abs(c) * self.maxima[n - j] for j, c in terms)).bit_length())
-        w = self.width
-        acc = self.packed[n] * self._psi_packed
+        table.fit((self.slots * table.maxima[n] * self._psi_top
+                   + sum(abs(c) * table.maxima[n - j] for j, c in terms)).bit_length())
+        w = table.width
+        if self._psi_packed[0] != w:
+            self._psi_packed = (w, _pack(psi.coeffs[::s], w))
+        acc = table.packed[n] * self._psi_packed[1]
         for j, c in terms:
-            acc -= c * self.packed[n - j] << 8 * w * ((j + 1) // s)
-        raw = _low_slots(acc, slots, w)
-        self.packed.append(raw - _bias(slots, w))
-        values = _decode(raw, slots, w)
-        self.values.append(values)
-        self.maxima.append(max(map(abs, values)))
-        return values
-
-    def _append(self, coeffs) -> None:
-        """Pack one more row, a stored one or first, in slots that hold psi too."""
-        values = coeffs[::self.stride]
-        top = max(map(abs, values))
-        self._fit(max(top, self._psi_top).bit_length())
-        self.packed.append(_pack(values, self.width))
-        self.values.append(values)
-        self.maxima.append(top)
-
-    def _fit(self, bits: int) -> None:
-        """Widen the slots to hold values below 2^bits, repacking every decoded row and psi.
-
-        The maxima grow from row to row, so a widening adds a quarter for the rows to come.
-        """
-        width = _slot_width(bits)
-        if width <= self.width:
-            return
-        width += width // 4
-        self.packed = [_pack(values, width) for values in self.values]
-        self._psi_packed = _pack(self._psi.coeffs[::self.stride], width)
-        self.width = width
+            acc -= c * table.packed[n - j] << 8 * w * ((j + 1) // s)
+        return table.push(acc, self.slots)
 
     def _evaluate(self, d: int, b: int, prec: int) -> None:
         """Element m0 + d to O(q^prec) as first * P(psi), by Horner in psi^b over blocks of b babies."""
@@ -405,62 +420,33 @@ class _Family:
         H(z) = sum of P_n z^n satisfies H(z) (psi(z) - x) = g(z), where g is
         the first element of weight 2-k in the other space and leads with
         z^(m0-1).  With psi = q^-1 + sum of c_j q^j, the coefficient of z^n
-        gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n.  With s
-        the stride, c_j = 0 unless s divides j + 1 and g_(m0+n) = 0 unless s
-        divides n + 1, so the x^t coefficient of P_(m0+d) vanishes unless s
-        divides d - t.  The table keeps each P on that progression as one
-        Kronecker-packed integer, slot u holding x^(d mod s + u s), in the
-        kernel's format: P_(n-j) has the slots of P_(n+1), and x P_n is P_n
-        moved up one slot when s divides n + 1, else P_n itself, so each
-        nonzero c_j costs one C-level multiply-add.  The slot width obeys a
-        bound from the decoded maxima, as in ``_step``, and grows by
-        repacking.  The table holds Q_n(x) = L^n P_n(x / L), L the lcm of the
-        denominators of psi and g, which obeys the same recurrence with the
-        integers c_j L^(j+1) and g_n L^(n+1); P is read back by dividing.
+        gives P_(n+1) = x P_n - sum over j >= 0 of c_j P_(n-j) + g_n, so every
+        P is an integer polynomial.  With s the stride, c_j = 0 unless s
+        divides j + 1 and g_(m0+n) = 0 unless s divides n + 1, so the x^t
+        coefficient of P_(m0+d) vanishes unless s divides d - t.  The table
+        keeps each P on that progression as one packed integer, slot u
+        holding x^(d mod s + u s): P_(n-j) has the slots of P_(n+1), and
+        x P_n is P_n moved up one slot when s divides n + 1, else P_n itself,
+        so each nonzero c_j costs one C-level multiply-add.  The slot width
+        obeys a bound from the decoded maxima, as in ``_step``.
         """
         self._tables(d)
-        s, scale = self.stride, self.scale
-        values, maxima = self.poly_values, self.poly_maxima
-        if len(values) <= d:
-            c = [normalize_coeff(self._psi.coeff(j) * scale ** (j + 1)) for j in range(s - 1, d, s)]
+        s, polys = self.stride, self.polys
+        if len(polys.packed) <= d:
+            c = [self._psi.coeff(j) for j in range(s - 1, d, s)]
             sizes = list(map(abs, c))
-            for n in range(len(values) - 1, d):
+            for n in range(len(polys.packed) - 1, d):
                 # c_j P_(n-j) for j = s-1, 2s-1, ... <= n: the rows n+1-s, n+1-2s, ... down to 0
                 lower = slice(n + 1 - s, None, -s) if n + 1 >= s else slice(0)
-                g = normalize_coeff(self._g(n) * scale ** (n + 1))
-                self._fit_polys((maxima[n] + abs(g)
-                                 + sum(map(operator.mul, sizes, maxima[lower]))).bit_length())
-                w = self.poly_width
-                acc = (self.polys[n] << 8 * w if (n + 1) % s == 0 else self.polys[n]) + g
-                acc -= sum(map(operator.mul, c, self.polys[lower]))
-                slots = (n + 1) // s + 1
-                row = _decode(_low_slots(acc, slots, w), slots, w)
-                self.polys.append(acc)
-                values.append(row)
-                maxima.append(max(map(abs, row)))
-        row = values[d]
-        if scale != 1:
-            row = [normalize_coeff(Fraction(v, scale ** (d - t)))
-                   for t, v in zip(range(d % s, d + 1, s), row)]
+                g = self._g(n)
+                polys.fit((polys.maxima[n] + abs(g)
+                           + sum(map(operator.mul, sizes, polys.maxima[lower]))).bit_length())
+                acc = polys.packed[n] << 8 * polys.width if (n + 1) % s == 0 else polys.packed[n]
+                polys.push(acc + g - sum(map(operator.mul, c, polys.packed[lower])),
+                           (n + 1) // s + 1)
         poly = [0] * (d + 1)
-        poly[d % s::s] = row
+        poly[d % s::s] = polys.values[d]
         return poly
-
-    def _fit_polys(self, bits: int) -> None:
-        """Widen the P table's slots to hold values below 2^bits, as ``_fit`` does the rows'."""
-        width = _slot_width(bits)
-        if width > self.poly_width:
-            width += width // 4
-            self.polys = [_pack(row, width) for row in self.poly_values]
-            self.poly_width = width
-
-    def _drop_polys(self, scale: int) -> None:
-        """Start the P table afresh, on Q_n(x) = scale^n P_n(x / scale): Q_0 = 1."""
-        self.scale = scale
-        self.polys = [1]
-        self.poly_values = [[1]]
-        self.poly_maxima = [1]
-        self.poly_width = 1
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
@@ -708,29 +694,3 @@ def b_coeff(n: int, k: int, m: int, a_n: int, cache: BasisCache | None = None) -
     elem = (cache or _default_cache).element(n, k, S_SPACE, m, prec=a_n + 1)
     return elem.integer_coeff(a_n)
 
-
-def decompose_in_hauptmodul(series: QSeries, psi: QSeries,
-                            min_window: int = 1) -> tuple[tuple, QSeries]:
-    """Write a weight-0 object as a polynomial in a q^-1 + ... generator.
-
-    Peels the pole top-down, one subtraction per nonzero multiplier; returns
-    (ascending coefficients, residual).  The residual of a genuine weight-0
-    form with poles only at infinity is O(q).
-    ``min_window`` is the number of residual coefficients that must remain
-    verifiable; otherwise InsufficientPrecision is raised.
-    """
-    if psi.valuation != -1 or psi.coeff(-1) != 1:
-        raise ValueError("generator must have expansion q^-1 + ...")
-    depth = max(0, -series.valuation)
-    reachable = min(series.prec, psi.prec - max(depth - 1, 0))
-    if reachable < min_window:
-        raise InsufficientPrecision(
-            f"residual would be known only to O(q^{reachable})",
-            needed=min_window + max(depth - 1, 0) + 1)
-    powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth)
-    coeffs = [0] * (depth + 1)
-    for i in range(depth, -1, -1):
-        c = coeffs[i] = series.coeff(-i)
-        if c:
-            series = series - powers[i].scalar_mul(c)
-    return tuple(coeffs), series

@@ -216,8 +216,8 @@ def cmd_scan(args) -> int:
     if args.require_weak and (args.level, args.p) not in ((18, 2), (12, 3)):
         raise ValueError(f"no weak congruence case for level {args.level}, p = {args.p}")
     cache = _resolve_cache(args)
-    r_set = verify.admissible_residues(args.p) if args.rset is None else _parse_int_list(args.rset)
-    s_set = verify.admissible_residues(args.p) if args.sset is None else _parse_int_list(args.sset)
+    r_set = None if args.rset is None else _parse_int_list(args.rset)
+    s_set = None if args.sset is None else _parse_int_list(args.sset)
     rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax,
                                           r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
     if args.require_weak:
@@ -339,9 +339,12 @@ def main(argv=None) -> int:
         # argparse uses exit 2 for usage errors and 0 for --help/--version
         return 0 if err.code in (0, None) else EXIT_USAGE
     report = getattr(args, "report", None)
+    # refuse before any work, not after printing the whole report
     if report and not os.path.isdir(os.path.dirname(report) or "."):
-        # refuse before any work, not after printing the whole report
         print(f"error: the directory of report {report} does not exist", file=sys.stderr)
+        return EXIT_USAGE
+    if report and os.path.isdir(report):
+        print(f"error: cannot write report {report}: Is a directory", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

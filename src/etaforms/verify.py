@@ -313,6 +313,8 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
     level-6 one: index p*m' goes to index m', others to zero."""
     if n not in (12, 18):
         raise ValueError("index-lowering is available for levels 12 and 18 only")
+    if zero_window < 1:
+        raise ValueError(f"zero window must be at least 1, not {zero_window}")
     p = 2 if n == 12 else 3
     if m_max < 1:
         return CheckReport(
@@ -510,6 +512,8 @@ def congruence_bound(n: int, p: int, a: int, b: int, r: int) -> tuple[int | None
 
 
 def admissible_residues(p: int, count: int = 3) -> list[int]:
+    if p < 2:
+        raise ValueError(f"admissible residues need p >= 2, not p = {p}")
     out = []
     r = 1
     while len(out) < count:
@@ -523,6 +527,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
                     n_cap: int = 400, cache: BasisCache | None = None
                     ) -> tuple[list[ValuationRow], CheckReport]:
     cache = cache or default_cache()
+    congruence_bound(n, p, 1, 0, 1)     # refuses a pair with no congruence data before any row
     if r_set is None:
         r_set = admissible_residues(p)
     if s_set is None:
@@ -530,7 +535,6 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
     for x in list(r_set) + list(s_set):
         if gcd(x, p) != 1:
             raise ValueError(f"residue {x} is not coprime to {p}")
-    congruence_bound(n, p, 1, 0, 1)     # refuses a pair with no congruence data before any row
     m_values = sorted({p ** a * r for a in range(a_max + 1) for r in r_set if p ** a * r <= n_cap})
     if not m_values:
         return [], CheckReport(

@@ -17,12 +17,12 @@ from etaforms.basis import (
     _first_series,
     a_coeff,
     b_coeff,
-    decompose_in_hauptmodul,
     f_basis,
     first_element,
     g_basis,
 )
-from etaforms.errors import IndexBelowRange, InsufficientPrecision, PrecisionExceeded
+from etaforms.errors import (IndexBelowRange, InsufficientPrecision, IntegralityViolation,
+                             PrecisionExceeded)
 from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, WeightForm, get_level
 from etaforms.series import QSeries, _progression, normalize_coeff
@@ -71,6 +71,28 @@ def reference_peel(series, powers, offset):
             coeffs[i] = c
             series = series - powers[i].scalar_mul(c)
     return coeffs, series
+
+
+def decompose_in_hauptmodul(series, psi, min_window=1):
+    """Write a weight-0 object as a polynomial in a q^-1 + ... generator.
+
+    Peels the pole top-down, one subtraction per nonzero multiplier; returns
+    (ascending coefficients, residual).  The residual of a genuine weight-0
+    form with poles only at infinity is O(q).  ``min_window`` is the number
+    of residual coefficients that must remain verifiable; otherwise
+    InsufficientPrecision is raised.
+    """
+    if psi.valuation != -1 or psi.coeff(-1) != 1:
+        raise ValueError("generator must have expansion q^-1 + ...")
+    depth = max(0, -series.valuation)
+    reachable = min(series.prec, psi.prec - max(depth - 1, 0))
+    if reachable < min_window:
+        raise InsufficientPrecision(
+            f"residual would be known only to O(q^{reachable})",
+            needed=min_window + max(depth - 1, 0) + 1)
+    powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, depth)
+    coeffs, residual = reference_peel(series, powers, 0)
+    return tuple(coeffs), residual
 
 
 class TestFirstElement:
@@ -418,9 +440,9 @@ class TestPowerTable:
         fam = cache._families[(10, 0, "M")]
         assert len(fam.elements) == 20 and 0 not in fam.elements
         dropped = ([[1]], [], None, [])
-        assert (fam.poly_values, fam.baby, fam.giant, fam.packed) == dropped
+        assert (fam.polys.values, fam.baby, fam.giant, fam.table.values) == dropped
         first = fam.element(0)
-        assert (fam.poly_values, fam.baby, fam.giant, fam.packed) == dropped
+        assert (fam.polys.values, fam.baby, fam.giant, fam.table.values) == dropped
         want = BasisCache().family(10, 0, "M", min_index=fam.top,
                                    min_prec=fam.reach - fam.top).element(0)
         assert first.expansion.coeffs == want.expansion.coeffs
@@ -596,28 +618,37 @@ class TestPolyTable:
         fam = basis._Family(get_level(18), 0, "M", 330)
         fam._poly(323)
         triangle = 324 * 325 // 2
-        assert len(fam.polys) == 324
-        stored = sum(map(len, fam.poly_values))
+        assert len(fam.polys.packed) == 324
+        stored = sum(map(len, fam.polys.values))
         # column t keeps the degrees t, t + 3, ... through 323
         assert stored == sum((323 - t) // 3 + 1 for t in range(324))
         assert abs(3 * stored - triangle) < 3 * 324
 
-    @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (-2, "M")])
-    def test_shifted_psi_is_served_at_step_one(self, k, space):
-        # psi + 1/2 has c_0 = 1/2, off the step-3 progression of level 18
-        shifted = basis._Family(shifted_level(18, Fraction(1, 2)), k, space, 40)
-        shifted._tables(15)
-        assert shifted.stride == 1 and not shifted.integral
-        assert [shifted._poly(d) for d in range(16)] == triangle_polys(shifted, 15)
-        assert [shifted._poly(d) for d in range(41)] == column_polys(shifted, 40)
-        got = shifted.rows(range(shifted.m0, shifted.m0 + 16))
-        plain = basis._Family(get_level(18), k, space, 40)
-        plain._tables(15)
-        assert plain.stride == 3 and plain.integral
-        want = plain.rows(range(plain.m0, plain.m0 + 16))
-        for a, b in zip(got, want):
-            assert (a.expansion.valuation, a.expansion.coeffs, a.expansion.prec) == \
-                (b.expansion.valuation, b.expansion.coeffs, b.expansion.prec)
+    def test_every_supported_family_has_integral_inputs(self):
+        # first, psi and g hold only ints, or _tables raises IntegralityViolation
+        for n in SUPPORTED_LEVELS:
+            for k in range(-4, 7, 2):
+                for space in ("M", "S"):
+                    basis._Family(get_level(n), k, space, 400)._tables(400)
+
+    @pytest.mark.parametrize("n", [18, 6])
+    def test_fractional_input_is_refused(self, n):
+        # psi + 1/2, with the cusp polynomial rewritten in it, describes the same
+        # spaces by polynomials that are not integral: no packed table holds them
+        for k, space in ((0, "M"), (2, "S"), (-2, "M")):
+            for build in (lambda fam: fam.rows(range(fam.m0, fam.m0 + 12)),
+                          lambda fam: fam._poly(12)):
+                fam = basis._Family(shifted_level(n, Fraction(1, 2)), k, space, 40)
+                with pytest.raises(IntegralityViolation, match="psi of .* holds 1/2"):
+                    build(fam)
+
+    def test_slots_widen_as_the_table_grows(self, monkeypatch):
+        widened = record_widenings(monkeypatch)
+        fam = basis._Family(get_level(6), 0, "M", self.DEGREE + 8)
+        polys = fam.polys
+        got = [fam._poly(d) for d in range(self.DEGREE + 1)]
+        assert len(widened[polys]) >= 3, widened[polys]
+        assert got == column_polys(fam, self.DEGREE)
 
     @pytest.mark.parametrize("recurrence", ["poly", "rows"])
     def test_g_off_the_progression_raises(self, recurrence):
@@ -653,8 +684,22 @@ def count_steps(monkeypatch):
     steps = []
     step = basis._Family._step
     monkeypatch.setattr(basis._Family, "_step",
-                        lambda fam: steps.append(fam.m0 + len(fam.packed)) or step(fam))
+                        lambda fam: steps.append(fam.m0 + len(fam.table.packed)) or step(fam))
     return steps
+
+
+def record_widenings(monkeypatch):
+    """{table: [its width after each widening]}, for every packed table that widens."""
+    widened = {}
+    fit = basis._Packed.fit
+
+    def recording(table, bits):
+        width = table.width
+        fit(table, bits)
+        if table.width != width:
+            widened.setdefault(table, []).append(table.width)
+    monkeypatch.setattr(basis._Packed, "fit", recording)
+    return widened
 
 
 class TestRowRecurrence:
@@ -679,7 +724,7 @@ class TestRowRecurrence:
             ms = [top, top - 5, m0 + 3]
             for e in horner.rows(ms):
                 assert element_fields(e) == got[e.index], (k, e.index)
-            assert horner.giant is not None and horner.packed == []
+            assert horner.giant is not None and horner.table.packed == []
 
     @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (12, 2, "S"), (18, -2, "M")])
     def test_continues_after_the_tables_are_dropped(self, monkeypatch, n, k, space):
@@ -687,7 +732,7 @@ class TestRowRecurrence:
         m0 = -(get_level(n).n0(k) if space == "M" else get_level(n).n1(k))
         fam = cache.family(n, k, space, min_index=m0 + 10, min_prec=30)
         fam.rows(range(m0, m0 + 11))
-        assert fam.packed == []                 # every index through top is built
+        assert fam.table.packed == []           # every index through top is built
         assert cache.family(n, k, space, min_index=m0 + 20, min_prec=20) is fam
         steps = count_steps(monkeypatch)
         got = fam.rows(range(m0 + 15, m0 + 21))
@@ -714,34 +759,16 @@ class TestRowRecurrence:
         assert [element_fields(e) for e in got] == [want[m] for m in range(m0, m0 + 21)]
 
     def test_slots_widen_as_the_rows_grow(self, monkeypatch):
-        widths = []
-        fit = basis._Family._fit
-        monkeypatch.setattr(basis._Family, "_fit",
-                            lambda fam, bits: fit(fam, bits) or widths.append(fam.width))
+        widened = record_widenings(monkeypatch)
         fam = BasisCache().family(6, 0, "M", min_index=120, min_prec=100)
         assert fam.reach >= 200
+        table = fam.table
         got = fam.rows(range(0, 121))
-        widened = sorted(set(widths))
-        assert len(widened) >= 3, widened
+        assert len(widened[table]) >= 3, widened[table]
         horner = BasisCache().family(6, 0, "M", min_index=120, min_prec=100)
         for e in horner.rows([120, 97, 61, 2]):
             assert element_fields(e) == element_fields(got[e.index])
-        assert horner.packed == []
-
-    def test_fractional_input_is_served_by_horner(self):
-        # psi + 1/2, with the cusp polynomial rewritten in it, describes the same
-        # spaces: the same elements, by polynomials that are not integral
-        data = get_level(6)
-        shifted = shifted_level(6, Fraction(1, 2))
-        for k, space in ((0, "M"), (2, "S"), (-2, "M"), (4, "S")):
-            fam = basis._Family(shifted, k, space, 40)
-            got = fam.rows(range(fam.m0, fam.m0 + 12))
-            assert fam.packed == [] and fam.giant is None
-            want = basis._Family(data, k, space, 40).rows(range(fam.m0, fam.m0 + 12))
-            for a, b in zip(got, want):
-                assert (a.expansion.valuation, a.expansion.coeffs, a.expansion.prec) == \
-                    (b.expansion.valuation, b.expansion.coeffs, b.expansion.prec)
-            assert any(Fraction in set(map(type, e.haupt_poly)) for e in got)
+        assert horner.table.packed == []
 
 
 class TestFirstSeriesSizing:

@@ -88,6 +88,13 @@ class TestVerify:
                              "--mmax", "6", "--zero-window", "20", "--no-cache-dir")
         assert code == 0
 
+    @pytest.mark.parametrize("zero_window", ["0", "-5"])
+    def test_uplemma_zero_window_below_one_is_usage_error(self, capsys, zero_window):
+        code, out, err = run_cli(capsys, "verify", "uplemma", "--level", "18", "--mmax", "6",
+                                 "--zero-window", zero_window, "--no-cache-dir")
+        assert (code, out) == (2, "")
+        assert err == f"error: zero window must be at least 1, not {zero_window}\n"
+
     def test_genfun(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "genfun", "--level", "10",
                              "--weight", "4", "--mmax", "4", "--no-cache-dir")
@@ -171,13 +178,14 @@ class TestScan:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
-        # the path is a directory, so opening it for writing fails
-        code, _, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", "--amax", "1",
-                               "--bmax", "1", "--ncap", "20", "--no-cache-dir",
-                               "--report", str(tmp_path))
-        assert code == 2
-        assert err.startswith("error: cannot write report") and len(err.splitlines()) == 1
+    def test_unwritable_report_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # the path is a directory, so no report can be written there: refused before any work
+        monkeypatch.setattr(basis._Family, "rows", refuse_rows)
+        for argv in (["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1",
+                      "--ncap", "20"], ["verify", "theta", "--level", "6", "--mmax", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--no-cache-dir", "--report", str(tmp_path))
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write report {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"], ["--rset", ""],
                                        ["--sset", "", "--ncap", "20"],
@@ -228,7 +236,10 @@ class TestScan:
                  "no weak congruence case for level 6, p = 2"),
                 (["--p", "3", "--require-weak"], "no weak congruence case for level 6, p = 3"),
                 (["--p", "5"], "no congruence data for level 6, p = 5"),
-                (["--p", "5", "--ncap", "-1"], "no congruence data for level 6, p = 5")):
+                (["--p", "5", "--ncap", "-1"], "no congruence data for level 6, p = 5"),
+                (["--p", "0"], "no congruence data for level 6, p = 0"),
+                (["--p", "1"], "no congruence data for level 6, p = 1"),
+                (["--p", "4"], "no congruence data for level 6, p = 4")):
             code, out, err = run_cli(capsys, "scan", "--level", "6", *argv, "--no-cache-dir")
             assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from etaforms.basis import BasisCache, BasisElement, _Family, decompose_in_hauptmodul
+from etaforms.basis import BasisCache, BasisElement, _Family
 from etaforms.cli import main
 from etaforms.errors import (InsufficientPrecision, IntegralityViolation, NoConsistentSign,
                              PrecisionExceeded)
@@ -27,6 +27,8 @@ from etaforms.verify import (
     theta_check,
     up_lemma_check,
 )
+
+from test_basis import decompose_in_hauptmodul     # the peeling oracle
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +331,9 @@ class TestCongruenceBound:
         assert admissible_residues(2) == [1, 3, 5]
         assert admissible_residues(3) == [1, 2, 4]
         assert admissible_residues(5) == [1, 2, 3]
+        for p in (0, 1, -2):
+            with pytest.raises(ValueError, match="need p >= 2"):
+                admissible_residues(p)
 
 
 class TestCongruenceScan:
