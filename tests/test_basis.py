@@ -631,6 +631,23 @@ class TestPolyTable:
                 for space in ("M", "S"):
                     basis._Family(get_level(n), k, space, 400)._tables(400)
 
+    @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (-2, "M")])
+    def test_shifted_psi_is_served_at_step_one(self, k, space):
+        # psi + 1 has c_0 = 1, off the step-3 progression of level 18
+        shifted = basis._Family(shifted_level(18, 1), k, space, 40)
+        shifted._tables(15)
+        assert shifted.stride == 1
+        assert [shifted._poly(d) for d in range(16)] == triangle_polys(shifted, 15)
+        assert [shifted._poly(d) for d in range(41)] == column_polys(shifted, 40)
+        got = shifted.rows(range(shifted.m0, shifted.m0 + 16))
+        plain = basis._Family(get_level(18), k, space, 40)
+        plain._tables(15)
+        assert plain.stride == 3
+        want = plain.rows(range(plain.m0, plain.m0 + 16))
+        for a, b in zip(got, want):
+            assert (a.expansion.valuation, a.expansion.coeffs, a.expansion.prec) == \
+                (b.expansion.valuation, b.expansion.coeffs, b.expansion.prec)
+
     @pytest.mark.parametrize("n", [18, 6])
     def test_fractional_input_is_refused(self, n):
         # psi + 1/2, with the cusp polynomial rewritten in it, describes the same
