@@ -21,5 +21,5 @@ from .eta import (                                      # noqa: F401
     parse_eta_quotient,
 )
 from .leveldata import get_level, validate_level        # noqa: F401
-from .operators import al_sum, theta, u_p, v_p          # noqa: F401
+from .operators import theta, u_p                        # noqa: F401
 from .series import QSeries                             # noqa: F401

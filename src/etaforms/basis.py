@@ -55,6 +55,7 @@ from math import gcd
 
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
+from .operators import theta
 from .series import (QSeries, _bias, _convolve, _decode, _low_slots, _pack, _progression, _slot_width,
                      deepest, parse_coeffs)
 
@@ -249,7 +250,7 @@ class _Family:
             need = max(self.top, self.m0 + d)
             if (self.k, self.space) == (0, M_SPACE):
                 # theta relation at m = 1: g is -theta(psi), no weight form needed
-                g = self.data.hauptmodul_series(need).termwise(lambda e, c: -e * c)
+                g = -theta(self.data.hauptmodul_series(need))
             else:
                 dual = M_SPACE if self.space == S_SPACE else S_SPACE
                 need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
@@ -467,9 +468,8 @@ def _expand_first(data: LevelData, k: int, space: str, prec: int) -> QSeries:
     -1 for psi) is expanded to O(q^(prec - gap + v)), and past its leading term.
     """
     shift = max(prec - _gap(data, k, space), 1)
-    exponents = {4: k // 4, 2: k % 4 // 2} if 4 in data.weight_forms else {2: k // 2}
     factors = [data.weight_form_series(w, shift + data.weight_forms[w].vanishing) ** e
-               for w, e in exponents.items() if e]
+               for w, e in data.weight_exponents(k).items() if e]
     if space == S_SPACE:
         psi = data.hauptmodul_series(shift - 1)
         powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, len(data.cusp_poly) - 1)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FractionalValuation, InvalidCusp, MixedWeight
-from .series import DEFAULT_PREC, QSeries, deepest
+from .series import QSeries, deepest
 
 
 def euler_product(prec: int) -> QSeries:
@@ -123,7 +123,7 @@ class EtaQuotient:
         """Exact q-exponent of the leading term: sum of r*delta/24."""
         return Fraction(sum(r * d for d, r in self.factors), 24)
 
-    def unit(self, prec: int = DEFAULT_PREC) -> QSeries:
+    def unit(self, prec: int) -> QSeries:
         """Valuation-zero series u with quotient = scalar * q^offset * u."""
         num = QSeries.one(prec)
         den = QSeries.one(prec)
@@ -135,7 +135,7 @@ class EtaQuotient:
                 den = den * (base ** (-r) if r < -1 else base)
         return num * den.reciprocal()
 
-    def series(self, prec: int = DEFAULT_PREC) -> QSeries:
+    def series(self, prec: int) -> QSeries:
         """Absolute expansion known through q^(prec-1).
 
         Raises FractionalValuation when the offset is not an integer.
@@ -175,7 +175,7 @@ class EtaCombination:
             raise MixedWeight(f"terms carry weights {sorted(weights)}")
         return weights.pop()
 
-    def series(self, prec: int = DEFAULT_PREC) -> QSeries:
+    def series(self, prec: int) -> QSeries:
         total = QSeries.zero(prec)
         for t in self.terms:
             total = total + t.series(prec)

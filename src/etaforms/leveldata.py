@@ -127,15 +127,17 @@ class LevelData:
         n = self.N
         return sum(_phi(gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
 
-    def n0(self, k: int) -> int:
-        """Maximal vanishing order at infinity in weight k (poles only at infinity)."""
+    def weight_exponents(self, k: int) -> dict[int, int]:
+        """Weight w -> exponent of the weight-w form in the weight-k first element:
+        the weight-4 form k // 4 times and the weight-2 form for k mod 4 when the
+        level has a weight-4 form, else the weight-2 form k / 2 times."""
         if k % 2:
             raise ValueError(f"weight must be even, got {k}")
-        if 4 in self.weight_forms:
-            k_part = k % 4                      # in {0, 2}
-            ell = (k - k_part) // 4
-            return ell * self.weight_forms[4].vanishing + (k_part // 2) * self.weight_forms[2].vanishing
-        return (k // 2) * self.weight_forms[2].vanishing
+        return {4: k // 4, 2: k % 4 // 2} if 4 in self.weight_forms else {2: k // 2}
+
+    def n0(self, k: int) -> int:
+        """Maximal vanishing order at infinity in weight k (poles only at infinity)."""
+        return sum(e * self.weight_forms[w].vanishing for w, e in self.weight_exponents(k).items())
 
     def n1(self, k: int) -> int:
         """Maximal vanishing order for forms also vanishing at the other cusps."""

@@ -26,10 +26,6 @@ from .errors import PrecisionExceeded, ZeroLeadingTerm
 
 Coeff = (int, Fraction)
 
-#: Default number of known terms beyond the valuation for expansions that do
-#: not receive an explicit precision.
-DEFAULT_PREC = 256
-
 
 def normalize_coeff(value) -> Coeff:
     """Coerce an exact number to the canonical int-or-Fraction form."""

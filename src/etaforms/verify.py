@@ -42,6 +42,11 @@ class CheckReport:
         self.precision = precision
         self.details = {} if details is None else details
 
+    @classmethod
+    def vacuous(cls, name: str, params: dict) -> "CheckReport":
+        """The report of a check whose window holds nothing to check: it passes."""
+        return cls(name, params, True, "empty", details={"vacuous": True})
+
     def to_json(self) -> dict:
         return {
             "check": self.name,
@@ -136,11 +141,9 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
         n_max = m_max
     m_lo = -data.n0(k)
     n_lo = -data.n1(2 - k)
+    params = {"level": n, "weight": k, "m_max": m_max, "n_max": n_max}
     if m_max < m_lo or n_max < n_lo:
-        return CheckReport(
-            name="duality", params={"level": n, "weight": k, "m_max": m_max, "n_max": n_max},
-            passed=True, window="empty", details={"vacuous": True},
-        )
+        return CheckReport.vacuous("duality", params)
     pad = 4
     gs = [(g, *_support(g, m_max))
           for g in cache.rows(n, 2 - k, "S", range(n_lo, n_max + 1), m_max + 1 + pad)]
@@ -166,7 +169,7 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
                 bad.append((m, nn, "pairing constant", const, a + b))
     return CheckReport(
         name="duality",
-        params={"level": n, "weight": k, "m_max": m_max, "n_max": n_max},
+        params=params,
         passed=not bad,
         window=f"m in [{m_lo},{m_max}], n in [{n_lo},{n_max}]",
         counterexamples=bad,
@@ -215,11 +218,9 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
     cache = cache or default_cache()
     data = get_level(n)
     n0 = data.n0(k)
+    params = {"level": n, "weight": k, "m_max": m_max, "z_prec": z_prec}
     if m_max < -n0:
-        return CheckReport(
-            name="genfun", params={"level": n, "weight": k, "m_max": m_max, "z_prec": z_prec},
-            passed=True, window="empty", details={"vacuous": True},
-        )
+        return CheckReport.vacuous("genfun", params)
     if z_prec < m_max + n0 + 1:
         raise InsufficientPrecision(
             f"z-precision {z_prec} cannot complete columns through {m_max - 1}",
@@ -259,7 +260,7 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
                 bad.append((i, j, rhs.coeff(j), lhs.coeff(j)))
     return CheckReport(
         name="genfun",
-        params={"level": n, "weight": k, "m_max": m_max, "z_prec": z_prec, "tau_prec": tau_prec},
+        params={**params, "tau_prec": tau_prec},
         passed=not bad,
         window=f"z-degrees [{-n0 - 1},{m_max - 1}], {cells} bidegree cells",
         counterexamples=bad,
@@ -275,9 +276,9 @@ def theta_check(n: int, m_max: int, window: int = 40,
                 cache: BasisCache | None = None) -> CheckReport:
     """theta(weight-0 element of pole order m) = -m * (weight-2 cusp element)."""
     cache = cache or default_cache()
+    params = {"level": n, "m_max": m_max}
     if m_max < 1:
-        return CheckReport(name="theta", params={"level": n, "m_max": m_max}, passed=True,
-                           window="empty", details={"vacuous": True})
+        return CheckReport.vacuous("theta", params)
     ms = range(1, m_max + 1)
     fs = cache.rows(n, 0, "M", ms, window + m_max + 4)
     gs = cache.rows(n, 2, "S", ms, window + m_max + 4)
@@ -295,7 +296,7 @@ def theta_check(n: int, m_max: int, window: int = 40,
                 bad.append((m, t, rhs.coeff(t), lhs.coeff(t)))
     return CheckReport(
         name="theta",
-        params={"level": n, "m_max": m_max},
+        params=params,
         passed=not bad,
         window=f"m in [1,{m_max}], coefficients through q^{window - 1} at least",
         counterexamples=bad,
@@ -316,10 +317,9 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
     if zero_window < 1:
         raise ValueError(f"zero window must be at least 1, not {zero_window}")
     p = 2 if n == 12 else 3
+    params = {"level": n, "p": p, "m_max": m_max, "zero_window": zero_window}
     if m_max < 1:
-        return CheckReport(
-            name="uplemma", params={"level": n, "p": p, "m_max": m_max, "zero_window": zero_window},
-            passed=True, window="empty", details={"vacuous": True})
+        return CheckReport.vacuous("uplemma", params)
     cache = cache or default_cache()
     prec_n = p * (zero_window + m_max + 2)
     targets = cache.rows(6, 0, "M", range(1, m_max // p + 1), zero_window + m_max + 2)
@@ -345,7 +345,7 @@ def up_lemma_check(n: int, m_max: int, zero_window: int = 40,
                 bad.append((m, e, 0, c))
     return CheckReport(
         name="uplemma",
-        params={"level": n, "p": p, "m_max": m_max, "zero_window": zero_window},
+        params=params,
         passed=not bad,
         window=f"m in [1,{m_max}]; vanishing checked to {zero_window} terms",
         counterexamples=bad,
@@ -361,7 +361,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
                       cache: BasisCache | None = None) -> CheckReport:
     """The rescaling identity behind the congruences.
 
-    For m = p^a r with r coprime to p, the object p*u_p(element m) minus
+    For m = p^a r with r positive and coprime to p, the object p*u_p(element m) minus
     (for a >= 1) p*(element m/p) equals eps * sum of c_i (sign*scale)^i
     (cusp companion)^i at every nonzero exponent, where c_i is the
     decomposition of element m in the alternative generator and eps is -1
@@ -380,13 +380,10 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     if p not in data.aux:
         raise UnsupportedPair(f"no involution data for level {n}, p={p}")
     aux = data.aux[p]
-    for r in r_set:
-        if gcd(r, p) != 1:
-            raise ValueError(f"residue {r} is not coprime to {p}")
-    params = {"level": n, "p": p, "r_set": sorted(r_set), "a_max": a_max}
+    r_set = _residues(p, r_set)
+    params = {"level": n, "p": p, "r_set": r_set, "a_max": a_max}
     if a_max < 0 or not r_set:
-        return CheckReport(name="al-identity", params=params, passed=True, window="empty",
-                           details={"vacuous": True})
+        return CheckReport.vacuous("al-identity", params)
     rows = []
     sign_works = {1: True, -1: True}
     max_m = max(p ** a_max * r for r in r_set)
@@ -405,7 +402,7 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     cusp_powers = _extend_powers([QSeries.one(deepest)], data.aux_cusp_series(p, deepest), max_m)
     corollary_bound = _valuation(aux.scale, p) - 1
     corollary_ok = True
-    for r in sorted(r_set):
+    for r in r_set:
         for a in range(0, a_max + 1):
             m = p ** a * r
             element = elements[m]
@@ -511,6 +508,19 @@ def congruence_bound(n: int, p: int, a: int, b: int, r: int) -> tuple[int | None
     raise ValueError(f"no congruence data for level {n}, p = {p}")
 
 
+def _residues(p: int, values) -> list[int]:
+    """The distinct residues in ``values``, sorted.  The congruences take
+    m = p^a r and n = p^b s with r and s positive and coprime to p, so any
+    other residue raises ValueError."""
+    out = sorted(set(values))
+    for r in out:
+        if r < 1:
+            raise ValueError(f"residue {r} is not positive")
+        if gcd(r, p) != 1:
+            raise ValueError(f"residue {r} is not coprime to {p}")
+    return out
+
+
 def admissible_residues(p: int, count: int = 3) -> list[int]:
     if p < 2:
         raise ValueError(f"admissible residues need p >= 2, not p = {p}")
@@ -528,20 +538,14 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
                     ) -> tuple[list[ValuationRow], CheckReport]:
     cache = cache or default_cache()
     congruence_bound(n, p, 1, 0, 1)     # refuses a pair with no congruence data before any row
-    if r_set is None:
-        r_set = admissible_residues(p)
-    if s_set is None:
-        s_set = admissible_residues(p)
-    for x in list(r_set) + list(s_set):
-        if gcd(x, p) != 1:
-            raise ValueError(f"residue {x} is not coprime to {p}")
+    r_set = _residues(p, admissible_residues(p) if r_set is None else r_set)
+    s_set = _residues(p, admissible_residues(p) if s_set is None else s_set)
+    params = {"level": n, "p": p, "a_max": a_max, "b_max": b_max,
+              "r_set": r_set, "s_set": s_set, "n_cap": n_cap}
     m_values = sorted({p ** a * r for a in range(a_max + 1) for r in r_set if p ** a * r <= n_cap})
-    if not m_values:
-        return [], CheckReport(
-            name="congruence-scan", params={"level": n, "p": p}, passed=True,
-            window="empty", details={"vacuous": True})
-    n_values = [(b, s, p ** b * s) for b in range(b_max + 1) for s in sorted(s_set)
-                if p ** b * s <= n_cap]
+    n_values = [(b, s, p ** b * s) for b in range(b_max + 1) for s in s_set if p ** b * s <= n_cap]
+    if not m_values or not n_values:
+        return [], CheckReport.vacuous("congruence-scan", params)
     # a(m, n) for n > m, n a pole order the scan builds anyway, is read from row n at
     # q^m as m a(n, m) / n: n a(m, n) = m a(n, m) follows from a(m, n) = -b(n, m) and
     # theta f_n = -n g_n.  So each row is asked for only through its deepest read.
@@ -551,14 +555,13 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
     depth: dict[int, int] = {}
     for row, t in source.values():
         depth[row] = max(depth.get(row, t), t)
-    # with no n to read, no row is built
     elements = dict(zip(depth, cache.rows(n, 0, "M", list(depth), [t + 1 for t in depth.values()])))
     rows = []
     failures = 0
     zero_rows = 0
     sharpness: dict[str, int | None] = {}
     for a in range(a_max + 1):
-        for r in sorted(r_set):
+        for r in r_set:
             m = p ** a * r
             if m > n_cap:
                 continue
@@ -594,8 +597,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
                                          status=status))
     report = CheckReport(
         name="congruence-scan",
-        params={"level": n, "p": p, "a_max": a_max, "b_max": b_max,
-                "r_set": sorted(r_set), "s_set": sorted(s_set), "n_cap": n_cap},
+        params=params,
         passed=failures == 0,
         window=f"{len(rows)} rows, indices capped at {n_cap}",
         counterexamples=[r.csv_row() for r in rows if r.status == "fail"],

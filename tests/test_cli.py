@@ -188,16 +188,23 @@ class TestScan:
             assert err == f"error: cannot write report {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("bound", [["--ncap", "-1"], ["--amax", "-1"], ["--rset", ""],
+                                       ["--bmax", "-1", "--ncap", "20"],
                                        ["--sset", "", "--ncap", "20"],
                                        ["--level", "10", "--p", "5", "--sset", ","]],
-                             ids=["ncap", "amax", "rset-empty", "sset-empty", "p5-sset-empty"])
+                             ids=["ncap", "amax", "rset-empty", "bmax", "sset-empty",
+                                  "p5-sset-empty"])
     def test_vacuous_scan_passes(self, capsys, monkeypatch, bound):
-        # no pole order survives the bound, or an empty residue set leaves no
-        # index, so there is no row, no failure, and no basis row is built
+        # no pole order or no dual index survives the bound, or an empty residue
+        # set leaves no index, so no (m, n) pair is left: the scan is vacuous,
+        # with no row, no failure, and no basis row built
         monkeypatch.setattr(basis._Family, "rows", refuse_rows)
-        code, out, err = run_cli(capsys, "scan", "--level", "6", "--p", "2", *bound,
-                                 "--format", "json", "--no-cache-dir")
-        assert code == 0 and err == ""
+        argv = ("scan", "--level", "6", "--p", "2", *bound, "--no-cache-dir")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == ("congruence-scan: pass\n  window: empty\n  precision: O(q^0)\n"
+                       "  vacuous: True\n")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["rows"] == [] and doc["summary"]["failures"] == 0
 
@@ -216,6 +223,30 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", "--level", "6", "--p", "2",
                              "--rset", "2", "--ncap", "20", "--no-cache-dir")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1", "--ncap", "10",
+         "--sset=-1"],
+        ["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1", "--ncap", "10",
+         "--rset=-1"],
+        ["verify", "al", "--level", "6", "--p", "2", "--rset=-1"]],
+        ids=["scan-sset", "scan-rset", "al-rset"])
+    def test_negative_residue_usage_error(self, capsys, monkeypatch, argv):
+        # residues are positive: -1 is refused by name before any basis row
+        monkeypatch.setattr(basis._Family, "rows", refuse_rows)
+        code, out, err = run_cli(capsys, *argv, "--no-cache-dir")
+        assert (code, out) == (2, "")
+        assert err == "error: residue -1 is not positive\n"
+
+    @pytest.mark.parametrize("argv, once, twice", [
+        (["scan", "--level", "6", "--p", "2", "--amax", "0", "--bmax", "0", "--ncap", "8"],
+         ["--rset", "1", "--sset", "1"], ["--rset", "1,1", "--sset", "1,1"]),
+        (["verify", "al", "--level", "6", "--p", "2"], ["--rset", "1"], ["--rset", "1,1"])],
+        ids=["scan", "al"])
+    def test_repeated_residue_counts_once(self, capsys, argv, once, twice):
+        code, want, _ = run_cli(capsys, *argv, *once, "--no-cache-dir")
+        assert code == 0
+        assert run_cli(capsys, *argv, *twice, "--no-cache-dir") == (0, want, "")
 
     def test_require_weak_filters_rows(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--level", "18", "--p", "2",

@@ -241,6 +241,10 @@ class TestAlIdentity:
         with pytest.raises(ValueError):
             al_identity_check(6, 2, r_set=[2], a_max=0, cache=cache)
 
+    def test_rejects_negative_residue(self, cache):
+        with pytest.raises(ValueError, match="^residue -1 is not positive$"):
+            al_identity_check(6, 2, r_set=[-1], a_max=1, cache=cache)
+
     def test_shares_its_power_tables(self, monkeypatch):
         # rows are decomposed in alt by a polynomial shift and read one companion
         # table; a table per row and per sign costs 625 series products here,
@@ -373,6 +377,12 @@ class TestCongruenceScan:
     def test_bad_residue_rejected(self, cache):
         with pytest.raises(ValueError):
             congruence_scan(6, 2, 1, 1, r_set=[2], s_set=[1], n_cap=20, cache=cache)
+
+    @pytest.mark.parametrize("sets", [{"r_set": [-1], "s_set": [1]},
+                                      {"r_set": [1], "s_set": [-1]}], ids=["r", "s"])
+    def test_negative_residue_rejected(self, cache, sets):
+        with pytest.raises(ValueError, match="^residue -1 is not positive$"):
+            congruence_scan(6, 2, 1, 1, n_cap=10, cache=cache, **sets)
 
     @pytest.mark.parametrize("n, p", [(6, 3), (6, 2), (10, 5), (10, 2), (12, 3), (12, 2),
                                       (18, 3), (18, 2)])
