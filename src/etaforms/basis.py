@@ -56,8 +56,8 @@ from math import gcd
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
 from .operators import theta
-from .series import (QSeries, _bias, _convolve, _decode, _low_slots, _pack, _progression, _slot_width,
-                     deepest, parse_coeffs)
+from .series import (QSeries, Record, _bias, _convolve, _decode, _low_slots, _pack, _progression,
+                     _slot_width, deepest, parse_coeffs)
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -65,7 +65,7 @@ S_SPACE = "S"
 CACHE_FORMAT_VERSION = 2
 
 
-class BasisElement:
+class BasisElement(Record):
     __slots__ = ("level", "weight", "index", "space", "expansion", "haupt_poly")
 
     level: int
@@ -74,17 +74,6 @@ class BasisElement:
     space: str                  # "M" or "S"
     expansion: QSeries
     haupt_poly: tuple           # P, ascending; element = first M-space element * P(psi)
-
-    def __init__(self, level, weight, index, space, expansion, haupt_poly):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "expansion", expansion)
-        object.__setattr__(self, "haupt_poly", haupt_poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisElement is immutable")
 
     def coeff(self, n: int):
         return self.expansion.coeff(n)
@@ -181,7 +170,7 @@ class _Family:
         self.reach = reach
         self.top = self.m0
         self.elements: dict[int, BasisElement] = {}
-        self.saved: int | None = None        # element count of its cache file, if any
+        self.dirty = True                   # differs from its cache file, or has none
         self._drop_tables()
 
     def _drop_tables(self) -> None:
@@ -214,7 +203,9 @@ class _Family:
                 f"index {min(ms)} below minimal pole order {self.m0} for "
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         asked: dict[int, int] = {}
-        for m, prec in zip(ms, precs or [self.reach + 8 - m for m in ms]):
+        if precs is None:
+            precs = [self.reach + 8 - m for m in ms]
+        for m, prec in zip(ms, precs, strict=True):
             asked[m] = max(asked.get(m, prec), prec)
         degrees = sorted(m - self.m0 for m, prec in asked.items()
                          if m not in self.elements or self.elements[m].expansion.prec < prec)
@@ -411,9 +402,8 @@ class _Family:
         poly = self._poly(d)
         if self.space == S_SPACE:
             poly = _convolve(self.data.cusp_poly, poly, len(self.data.cusp_poly) + len(poly) - 1)
-        self.elements[m] = BasisElement(
-            level=self.data.N, weight=self.k, index=m, space=self.space,
-            expansion=series, haupt_poly=tuple(poly))
+        self.elements[m] = BasisElement(self.data.N, self.k, m, self.space, series, tuple(poly))
+        self.dirty = True
 
     def _poly(self, d: int) -> list:
         """P_(m0+d), ascending, from the paper's generating function.
@@ -552,14 +542,15 @@ class BasisCache:
     def rows(self, n: int, k: int, space: str, ms, prec) -> list[BasisElement]:
         """The elements of indices ``ms``, in order, each known to O(q^prec) at
         least, past its gap: ``prec`` is one precision for every index or a
-        sequence of one per index.  The family is sized for the deepest of
-        them; an empty ``ms`` touches no family."""
+        sequence of one per index (ValueError for another length).  The
+        family is sized for the deepest of them; an empty ``ms`` touches no
+        family."""
         if not ms:
             return []
         gap = _gap(get_level(n), k, space)
         precs = [max(p, gap + 1) for p in ([prec] * len(ms) if isinstance(prec, int) else prec)]
         top = max(ms)
-        need = max(p + max(m, -gap) for m, p in zip(ms, precs))
+        need = max(p + max(m, -gap) for m, p in zip(ms, precs, strict=True))
         with self._lock:
             fam = self.family(n, k, space, min_index=top, min_prec=need - max(top, -gap))
             return fam.rows(ms, precs)
@@ -582,7 +573,7 @@ class BasisCache:
         return [path for path in paths if os.path.isfile(path)]
 
     def save(self) -> list[str]:
-        """Write each family that has no file or gained elements; return the paths.
+        """Write each family that has no file or gained or deepened rows; return the paths.
         One that cannot be written does not stop the others: the first error
         is raised once every other family is written."""
         if not self.directory:
@@ -592,7 +583,7 @@ class BasisCache:
         error = None
         with self._lock:
             for (n, k, space), fam in sorted(self._families.items()):
-                if fam.saved == len(fam.elements):
+                if not fam.dirty:
                     continue
                 doc = {
                     "format_version": CACHE_FORMAT_VERSION,
@@ -611,7 +602,7 @@ class BasisCache:
                 except OSError as err:
                     error = error or err
                     continue
-                fam.saved = len(fam.elements)
+                fam.dirty = False
                 written.append(path)
         if error:
             raise error
@@ -627,20 +618,21 @@ class BasisCache:
                 doc = json.load(fh)
             if doc.get("format_version") != CACHE_FORMAT_VERSION:
                 return None
+            named = (doc["level"], doc["weight"], doc["space"])
+            if named != (data.N, k, space):
+                raise ValueError(f"contents name family {named}")
             fam = _Family(data, k, space, operator.index(doc["reach"]))
             for m_text, e in doc["elements"].items():
                 m = int(m_text)
-                fam.elements[m] = BasisElement(
-                    level=data.N, weight=k, index=m, space=space,
-                    expansion=QSeries.from_json(e),
-                    haupt_poly=tuple(parse_coeffs(e["poly"])))
+                fam.elements[m] = BasisElement(data.N, k, m, space, QSeries.from_json(e),
+                                               tuple(parse_coeffs(e["poly"])))
         except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError) as err:
             # a file that cannot be read or parsed, or breaks the schema,
             # costs a recomputation, and the next save replaces it if it can
             print(f"warning: ignoring unreadable cache file {path} "
                   f"({type(err).__name__}: {err})", file=sys.stderr)
             return None
-        fam.saved = len(fam.elements)
+        fam.dirty = False
         return fam
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FractionalValuation, InvalidCusp, MixedWeight
-from .series import QSeries, deepest
+from .series import QSeries, Record, deepest
 
 
 def euler_product(prec: int) -> QSeries:
@@ -71,7 +71,7 @@ def eta_unit(delta: int, prec: int) -> QSeries:
     return deepest(_units, delta, prec, lambda p: euler_product(-(-p // delta)).dilated(delta))
 
 
-class EtaQuotient:
+class EtaQuotient(Record):
     """scalar * product of eta(delta*z)^r, attached to a level N.
 
     ``factors`` maps delta -> nonzero integer exponent.  Deltas are not
@@ -98,12 +98,7 @@ class EtaQuotient:
         cleaned = tuple(sorted((d, r) for d, r in merged.items() if r))
         if not cleaned:
             raise ValueError("eta quotient needs at least one factor")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "factors", cleaned)
-        object.__setattr__(self, "scalar", Fraction(scalar))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EtaQuotient is immutable")
+        super().__init__(level, cleaned, Fraction(scalar))
 
     def _key(self) -> tuple:
         return (self.level, self.factors, self.scalar)
@@ -153,7 +148,7 @@ class EtaQuotient:
         return format_eta_quotient(self)
 
 
-class EtaCombination:
+class EtaCombination(Record):
     """A rational linear combination of eta quotients (scalars live on terms)."""
 
     __slots__ = ("terms",)
@@ -164,10 +159,7 @@ class EtaCombination:
         terms = tuple(terms)
         if not terms:
             raise ValueError("eta combination needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EtaCombination is immutable")
+        super().__init__(terms)
 
     def weight(self) -> Fraction:
         weights = {t.weight() for t in self.terms}

@@ -22,12 +22,12 @@ from .eta import (
     ligozat_order,
     parse_eta_quotient,
 )
-from .series import QSeries, deepest
+from .series import QSeries, Record, deepest
 
 SUPPORTED_LEVELS = (6, 10, 12, 18)
 
 
-class E2Combination:
+class E2Combination(Record):
     """Rational combination of weight-2 Eisenstein differences e2(t).
 
     Used where no eta quotient with trivial character exists (the level-10
@@ -37,12 +37,6 @@ class E2Combination:
     __slots__ = ("terms",)
 
     terms: tuple[tuple[Fraction, int], ...]    # (scale factor, t)
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("E2Combination is immutable")
 
     def weight(self) -> Fraction:
         return Fraction(2)
@@ -54,23 +48,15 @@ class E2Combination:
         return total
 
 
-class WeightForm:
+class WeightForm(Record):
     __slots__ = ("weight", "vanishing", "combination")
 
     weight: int
     vanishing: int                      # order of vanishing at infinity
     combination: EtaCombination | E2Combination
 
-    def __init__(self, weight, vanishing, combination):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "vanishing", vanishing)
-        object.__setattr__(self, "combination", combination)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightForm is immutable")
-
-
-class AuxData:
+class AuxData(Record):
     """Involution machinery for one prime dividing the level."""
 
     __slots__ = ("p", "scale", "sign", "pole_cusp", "alt", "cusp")
@@ -82,19 +68,8 @@ class AuxData:
     alt: EtaQuotient                    # alternative weight-0 generator, q^-1 + O(1)
     cusp: EtaQuotient                   # companion with the pole at `pole_cusp`
 
-    def __init__(self, p, scale, sign, pole_cusp, alt, cusp):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "pole_cusp", pole_cusp)
-        object.__setattr__(self, "alt", alt)
-        object.__setattr__(self, "cusp", cusp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AuxData is immutable")
-
-
-class LevelData:
+class LevelData(Record):
     __slots__ = ("N", "hauptmodul_quotient", "hauptmodul_shift", "weight_forms", "cusp_poly",
                  "aux", "_expansions")
 
@@ -109,16 +84,8 @@ class LevelData:
 
     def __init__(self, N, hauptmodul_quotient, hauptmodul_shift, weight_forms, cusp_poly,
                  aux=None):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "hauptmodul_quotient", hauptmodul_quotient)
-        object.__setattr__(self, "hauptmodul_shift", hauptmodul_shift)
-        object.__setattr__(self, "weight_forms", weight_forms)
-        object.__setattr__(self, "cusp_poly", cusp_poly)
-        object.__setattr__(self, "aux", {} if aux is None else aux)
-        object.__setattr__(self, "_expansions", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LevelData is immutable")
+        super().__init__(N, hauptmodul_quotient, hauptmodul_shift, weight_forms, cusp_poly,
+                         {} if aux is None else aux, {})
 
     # -- deduced structure -------------------------------------------------
 
@@ -315,30 +282,20 @@ def uncorrected_weight_form(n: int) -> EtaCombination:
 # ----------------------------------------------------------------------
 # validation
 
-class ValidationCheck:
+class ValidationCheck(Record):
     __slots__ = ("name", "passed", "detail")
 
     name: str
     passed: bool
     detail: str
 
-    def __init__(self, name, passed, detail):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
 
-
-class ValidationReport:
+class ValidationReport(Record):
     __slots__ = ("level", "prec", "checks")
 
     level: int
     prec: int
     checks: list[ValidationCheck]
-
-    def __init__(self, level, prec, checks):
-        self.level = level
-        self.prec = prec
-        self.checks = checks
 
     @property
     def ok(self) -> bool:

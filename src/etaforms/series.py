@@ -55,7 +55,39 @@ def parse_coeffs(values) -> list:
     return list(map(normalize_coeff, values))
 
 
-class QSeries:
+class Record:
+    """An immutable value with one field per name in its class's ``__slots__``.
+
+    ``__init__`` fills the fields in order from positional or keyword
+    arguments and, like a hand-written constructor, raises TypeError for a
+    missing, extra, repeated or unknown one.  A field cannot be assigned
+    afterwards.  A subclass that checks or defaults its arguments keeps a
+    short ``__init__`` that calls this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        try:
+            args += tuple(map(kwargs.pop, names[len(args):]))
+        except KeyError as err:
+            raise TypeError(f"{type(self).__name__} is missing field {err}") from None
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "got multiple values for" if name in names else "has no"
+            raise TypeError(f"{type(self).__name__} {problem} field {name!r}")
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields "
+                            f"but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QSeries(Record):
     """A Laurent series truncated at an explicit precision bound."""
 
     __slots__ = ("valuation", "coeffs", "prec")
@@ -79,12 +111,11 @@ class QSeries:
             raise ValueError("coefficients extend past the precision bound")
         if not coeffs:
             valuation = prec
+        # written directly, not through Record.__init__: series are built
+        # often enough that the generic constructor's cost would show
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
 
     # ------------------------------------------------------------------
     # constructors

@@ -18,10 +18,10 @@ from .basis import BasisCache, _extend_powers, _substitute, default_cache
 from .errors import InsufficientPrecision, IntegralityViolation, NoConsistentSign, UnsupportedPair
 from .leveldata import get_level
 from .operators import theta, u_p
-from .series import QSeries
+from .series import QSeries, Record
 
 
-class CheckReport:
+class CheckReport(Record):
     __slots__ = ("name", "params", "passed", "window", "counterexamples", "precision", "details")
 
     name: str
@@ -34,13 +34,9 @@ class CheckReport:
 
     def __init__(self, name, params, passed, window, counterexamples=None, precision=0,
                  details=None):
-        self.name = name
-        self.params = params
-        self.passed = passed
-        self.window = window
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.precision = precision
-        self.details = {} if details is None else details
+        super().__init__(name, params, passed, window,
+                         [] if counterexamples is None else counterexamples, precision,
+                         {} if details is None else details)
 
     @classmethod
     def vacuous(cls, name: str, params: dict) -> "CheckReport":
@@ -71,7 +67,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-class ValuationRow:
+class ValuationRow(Record):
     CSV_HEADER = ("N", "p", "a", "b", "r", "s", "m", "n", "coeff", "valuation", "bound", "status")
     __slots__ = CSV_HEADER      # one field per column
 
@@ -87,20 +83,6 @@ class ValuationRow:
     valuation: int | None        # None encodes infinite (zero coefficient)
     bound: int | None            # None when the theorems claim nothing
     status: str                  # "pass" | "fail" | "no claim"
-
-    def __init__(self, N, p, a, b, r, s, m, n, coeff, valuation, bound, status):
-        self.N = N
-        self.p = p
-        self.a = a
-        self.b = b
-        self.r = r
-        self.s = s
-        self.m = m
-        self.n = n
-        self.coeff = coeff
-        self.valuation = valuation
-        self.bound = bound
-        self.status = status
 
     def csv_row(self) -> tuple:
         return (self.N, self.p, self.a, self.b, self.r, self.s, self.m, self.n,

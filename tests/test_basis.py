@@ -121,14 +121,6 @@ class TestFirstElement:
         e = first_element(10, -2, "M", cache=cache)
         assert e.index == 4 and e.expansion.valuation == -4
 
-    def test_element_is_immutable(self, cache):
-        e = first_element(6, 2, "M", cache=cache)
-        with pytest.raises(AttributeError):
-            e.index = 5
-        with pytest.raises(AttributeError):
-            e.expansion = QSeries.one(4)
-        assert e.index == -2
-
     def test_odd_weight_rejected(self, cache):
         with pytest.raises(ValueError):
             first_element(6, 3, "M", cache=cache)
@@ -311,6 +303,24 @@ class TestCachePersistence:
         assert reloaded.save() == []
         reloaded.element(6, 0, "M", 3, prec=32)
         assert reloaded.save() == [str(tmp_path / "basis_N6_k0_M.json")]
+
+    def test_a_deepened_row_is_written_back(self, tmp_path, monkeypatch):
+        disk = BasisCache(directory=str(tmp_path))
+        disk.rows(18, 0, "M", [90, 10], [5, 120])
+        [path] = disk.save()
+        reloaded = BasisCache(directory=str(tmp_path))
+        [deep] = reloaded.rows(18, 0, "M", [90], 40)
+        assert deep.expansion.prec == 40
+        assert reloaded.save() == [path]
+
+        def refuse(fam, d, b, prec):
+            raise AssertionError(f"row {fam.m0 + d} evaluated again")
+
+        monkeypatch.setattr(basis._Family, "_evaluate", refuse)
+        again = BasisCache(directory=str(tmp_path))
+        [served] = again.rows(18, 0, "M", [90], 40)
+        assert served.expansion.prec == 40 and served.expansion.coeffs == deep.expansion.coeffs
+        assert again.save() == []
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         disk = BasisCache(directory=str(tmp_path))
@@ -870,6 +880,11 @@ class TestAskedPrecision:
         fam = cache._families[(6, 0, "M")]
         assert fam.giant is not None            # scattered rows are Horner's
         assert [e.expansion.prec for e in got] == [12, 30, 24]
+        # one precision per index, or none: a list of another length is refused
+        with pytest.raises(ValueError):
+            cache.rows(6, 0, "M", [1, 2, 3], [10])
+        with pytest.raises(ValueError):
+            fam.rows([7, 23], [30])
         want = BasisCache().family(6, 0, "M", min_index=40, min_prec=30)
         for e in got:
             assert e.expansion.agrees_with(want.element(e.index).expansion)

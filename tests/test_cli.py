@@ -395,6 +395,25 @@ class TestValidateAndCache:
         assert warm == cold
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize("name, family", [
+        ("basis_N6_k2_M.json", ["--level", "6", "--weight", "2", "--m", "1"]),
+        ("basis_N6_k0_S.json", ["--level", "6", "--weight", "0", "--space", "S", "--m", "3"]),
+        ("basis_N10_k0_M.json", ["--level", "10", "--weight", "0", "--m", "1"]),
+    ], ids=["weight", "space", "level"])
+    def test_file_naming_another_family_is_a_warned_miss(self, capsys, tmp_path, name, family):
+        cache_dir = tmp_path / "cache"
+        code, _, _ = run_cli(capsys, "expand", "--level", "6", "--weight", "0", "--m", "1",
+                             "--cache-dir", str(cache_dir))
+        assert code == 0
+        (cache_dir / name).write_bytes((cache_dir / "basis_N6_k0_M.json").read_bytes())
+        argv = ["expand", *family, "--terms", "4"]
+        code, warm, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0
+        assert err.startswith("warning: ignoring unreadable cache file") and err.count("\n") == 1
+        code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
+        assert code == 0
+        assert warm == cold
+
     def test_cache_path_that_cannot_be_opened_is_a_warned_miss(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         (cache_dir / "basis_N6_k0_M.json").mkdir(parents=True)
@@ -458,7 +477,7 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *argv, "--cache-dir", cache_dir)
         assert code == 0
         [fam] = built
-        assert fam.saved == len(fam.elements) and 1 in fam.elements
+        assert not fam.dirty and 1 in fam.elements
         monkeypatch.undo()
         code, cold, _ = run_cli(capsys, *argv, "--no-cache-dir")
         assert code == 0
@@ -488,8 +507,8 @@ STARTUP_PROBE = """
 import json, sys
 import etaforms.cli
 def loaded():
-    return [m for m in ("dataclasses", "inspect", "importlib.resources", "etaforms.verify")
-            if m in sys.modules]
+    return [m for m in ("dataclasses", "typing", "inspect", "importlib.resources",
+                        "etaforms.verify") if m in sys.modules]
 states = [loaded()]
 etaforms.cli.main(["expand", "--level", "6", "--weight", "0", "--m", "1", "--no-cache-dir"])
 states.append(loaded())

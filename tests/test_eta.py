@@ -178,9 +178,6 @@ class TestParser:
         assert eq != EtaQuotient(6, eq.factors, Fraction(2))
         assert eq != EtaQuotient(12, eq.factors)
         assert eq != eq.factors and len({eq, PSI6_QUOT}) == 1
-        with pytest.raises(AttributeError):
-            eq.scalar = Fraction(2)
-        assert eq.scalar == 1
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

@@ -35,14 +35,6 @@ class TestGetLevel:
         s = get_level(10).hauptmodul_series(8)
         assert s.coeff(-1) == 1 and s.coeff(0) == 0 and s.coeff(1) == 1
 
-    def test_level_data_is_immutable(self):
-        data = get_level(6)
-        with pytest.raises(AttributeError):
-            data.N = 10
-        with pytest.raises(AttributeError):
-            data._expansions = {}
-        assert data.N == 6 and get_level(6) is data
-
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):
             get_level(7)
