@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import functools
+import itertools
 import json
 import operator
 import os
@@ -56,8 +57,8 @@ from math import gcd
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
 from .operators import theta
-from .series import (QSeries, Record, _bias, _convolve, _decode, _low_slots, _pack, _progression,
-                     _slot_width, deepest, parse_coeffs)
+from .series import (QSeries, Record, _bias, _decode, _low_slots, _pack, _progression, _slot_width,
+                     deepest, parse_coeffs)
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -79,7 +80,12 @@ class BasisElement(Record):
         return self.expansion.coeff(n)
 
     def integer_coeff(self, n: int) -> int:
-        c = self.expansion.coeff(n)
+        series = self.expansion
+        i = n - series.valuation
+        # a stored coefficient lies below prec; anything else goes through coeff
+        if 0 <= i < len(series.coeffs) and type(series.coeffs[i]) is int:
+            return series.coeffs[i]
+        c = series.coeff(n)
         if not isinstance(c, int):
             raise IntegralityViolation(
                 f"coefficient of q^{n} in ({self.level},{self.weight},{self.space},{self.index}) "
@@ -96,26 +102,32 @@ class _Packed:
     """Integer rows, each one Kronecker-packed integer in the kernel's format
     (see ``_convolve``) with slots of ``width`` bytes: ``packed`` holds the
     rows, ``values`` each row's slot values, decoded once, and ``maxima``
-    their largest magnitudes, from which a caller bounds the next row."""
+    their largest magnitudes, from which a caller bounds the next row.
+    ``bias`` is ``_bias(slots, width)`` for the slot count of the last
+    ``push``, built again only when that count or the width changes."""
 
-    __slots__ = ("packed", "values", "maxima", "width")
+    __slots__ = ("packed", "values", "maxima", "width", "slots", "bias")
 
     def __init__(self):
         self.packed: list[int] = []
         self.values: list[list] = []
         self.maxima: list[int] = []
         self.width = 0
+        self.slots = 0
+        self.bias = 0
 
     def fit(self, bits: int) -> None:
         """Widen the slots to hold values below 2^bits, repacking every row from its values.
 
-        The maxima grow from row to row, so a widening adds a quarter for the rows to come.
+        The maxima grow from row to row, so a widening adds a quarter, and at
+        least two bytes, for the rows to come.
         """
         width = _slot_width(bits)
         if width > self.width:
-            width += width // 4
+            width += max(width // 4, 2)
             self.packed = [_pack(values, width) for values in self.values]
             self.width = width
+            self.slots = 0                  # the held bias is for the old width
 
     def append(self, values: list) -> None:
         """Pack one more row from its values."""
@@ -128,9 +140,11 @@ class _Packed:
     def push(self, acc: int, slots: int) -> list:
         """Keep the low ``slots`` slots of ``acc``, a sum of packed rows whose
         slots each hold their value, as one more row; return its values."""
-        raw = _low_slots(acc, slots, self.width)
-        self.packed.append(raw - _bias(slots, self.width))
-        values = _decode(raw, slots, self.width)
+        if slots != self.slots:
+            self.slots, self.bias = slots, _bias(slots, self.width)
+        raw = _low_slots(acc, slots, self.width, self.bias)
+        self.packed.append(raw - self.bias)
+        values = _decode(raw, slots, self.width, self.bias)
         self.values.append(values)
         self.maxima.append(max(map(abs, values)))
         return values
@@ -183,7 +197,9 @@ class _Family:
         self.slots = 0                  # per packed row: ceil((reach + 8) / stride)
         self._psi: QSeries | None = None
         self._psi_packed = (0, 0)       # (width, psi packed in slots of that width)
-        self._psi_top = 0
+        self._c: tuple = ()             # c_j for j = s-1, 2s-1, ...: psi past q^-1 on its progression
+        self._sizes: list[int] = []     # their magnitudes
+        self._psi_top = 0               # the largest magnitude in psi
         self._first: QSeries | None = None
         self._dual: QSeries | None = None
 
@@ -236,6 +252,10 @@ class _Family:
             first = self._first = _first_series(self.data, self.k, self.space,
                                                 self.reach + 8 - self.m0)
             self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
+            # psi.coeffs[0] is q^-1's, so c_j sits at j + 1: nonzero only if s divides j + 1
+            self._c = psi.coeffs[self.stride::self.stride]
+            self._sizes = list(map(abs, self._c))
+            self._psi_top = max(map(abs, psi.coeffs))
         if self._dual is None or self._dual.prec < self.m0 + d:
             # once: as deep as the top asks, a first element as the dual family at this reach
             need = max(self.top, self.m0 + d)
@@ -313,7 +333,6 @@ class _Family:
         table = self.table
         if not table.packed:
             self.slots = -(-(self.reach + 8) // self.stride)
-            self._psi_top = max(map(abs, self._psi.coeffs))
             self._check(self.m0, [self._first.coeff(self.gap)])
             table.append(self._first.coeffs[::self.stride])
         for d in degrees:
@@ -334,12 +353,15 @@ class _Family:
     def _step(self) -> list:
         """Pack the row after the last packed one; return its slot values.
 
-        One product, the last row times psi, then one C-level multiply-add
-        per nonzero c_j, the row shifted (j + 1) / s slots.  The slot width W
-        satisfies 8 W >= bits(n max|row| max|psi| + sum of |c_j| max|row n-j|) + 2,
-        n the slots of a row, from the maxima of the decoded rows, so every
-        slot of the sum holds its coefficient; the n kept slots are read once
-        and stay packed.
+        One product, the last row times psi, then the c_j, j < n, each times
+        row n - j shifted (j + 1) / s slots, summed in one C-level pass with
+        psi's progression and magnitudes from ``_tables``, and the fold term
+        j = n.  The slot width W satisfies
+        8 W >= bits(n max|row| max|psi| + sum of |c_j| max|row n-j|) + 2, n
+        the slots of a row, from the maxima of the decoded rows, so every slot
+        of the sum holds its coefficient; the table widens by ``_Packed.fit``
+        when that bound outgrows it.  The n kept slots are read once with the
+        bias the table holds, and stay packed.
         """
         table = self.table
         n = len(table.packed) - 1
@@ -348,18 +370,20 @@ class _Family:
         psi = self._psi
         # psi * row n is known to row n+1's precision; every other term is known deeper
         assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
-        terms = [(j, c) for j, c in enumerate(psi.coeffs[1:n + 1]) if c]      # j < n
         fold = psi.coeff(n) - self._g(n)
-        if fold:
-            terms.append((n, fold))
+        # c_j for j = s-1, 2s-1, ... < n meets the rows n+1-s, n+1-2s, ... down to row 1
+        lower = slice(n + 1 - s, 0, -s) if n >= s else slice(0)
         table.fit((self.slots * table.maxima[n] * self._psi_top
-                   + sum(abs(c) * table.maxima[n - j] for j, c in terms)).bit_length())
+                   + sum(map(operator.mul, self._sizes, table.maxima[lower]))
+                   + abs(fold) * table.maxima[0]).bit_length())
         w = table.width
         if self._psi_packed[0] != w:
             self._psi_packed = (w, _pack(psi.coeffs[::s], w))
-        acc = table.packed[n] * self._psi_packed[1]
-        for j, c in terms:
-            acc -= c * table.packed[n - j] << 8 * w * ((j + 1) // s)
+        shifts = itertools.count(8 * w, 8 * w)
+        acc = table.packed[n] * self._psi_packed[1] - sum(
+            map(operator.lshift, map(operator.mul, self._c, table.packed[lower]), shifts))
+        if fold:
+            acc -= fold * table.packed[0] << 8 * w * ((n + 1) // s)
         return table.push(acc, self.slots)
 
     def _evaluate(self, d: int, b: int, prec: int) -> None:
@@ -401,7 +425,7 @@ class _Family:
         m = self.m0 + d
         poly = self._poly(d)
         if self.space == S_SPACE:
-            poly = _convolve(self.data.cusp_poly, poly, len(self.data.cusp_poly) + len(poly) - 1)
+            poly = _cusp_times(self.data.cusp_poly, poly)
         self.elements[m] = BasisElement(self.data.N, self.k, m, self.space, series, tuple(poly))
         self.dirty = True
 
@@ -424,20 +448,28 @@ class _Family:
         self._tables(d)
         s, polys = self.stride, self.polys
         if len(polys.packed) <= d:
-            c = [self._psi.coeff(j) for j in range(s - 1, d, s)]
-            sizes = list(map(abs, c))
             for n in range(len(polys.packed) - 1, d):
                 # c_j P_(n-j) for j = s-1, 2s-1, ... <= n: the rows n+1-s, n+1-2s, ... down to 0
                 lower = slice(n + 1 - s, None, -s) if n + 1 >= s else slice(0)
                 g = self._g(n)
                 polys.fit((polys.maxima[n] + abs(g)
-                           + sum(map(operator.mul, sizes, polys.maxima[lower]))).bit_length())
+                           + sum(map(operator.mul, self._sizes, polys.maxima[lower]))).bit_length())
                 acc = polys.packed[n] << 8 * polys.width if (n + 1) % s == 0 else polys.packed[n]
-                polys.push(acc + g - sum(map(operator.mul, c, polys.packed[lower])),
+                polys.push(acc + g - sum(map(operator.mul, self._c, polys.packed[lower])),
                            (n + 1) // s + 1)
         poly = [0] * (d + 1)
         poly[d % s::s] = polys.values[d]
         return poly
+
+
+def _cusp_times(cusp, poly: list) -> list:
+    """The product cusp * poly, ascending, with every term kept: one slice
+    multiply-add per nonzero coefficient of ``cusp``, which is short."""
+    out = [0] * (len(cusp) + len(poly) - 1)
+    for i, c in enumerate(cusp):
+        if c:
+            out[i:i + len(poly)] = [x + c * y for x, y in zip(out[i:], poly)]
+    return out
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:

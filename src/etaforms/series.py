@@ -60,9 +60,9 @@ class Record:
 
     ``__init__`` fills the fields in order from positional or keyword
     arguments and, like a hand-written constructor, raises TypeError for a
-    missing, extra, repeated or unknown one.  A field cannot be assigned
-    afterwards.  A subclass that checks or defaults its arguments keeps a
-    short ``__init__`` that calls this one.
+    missing, extra, repeated or unknown one.  A field cannot be assigned or
+    deleted afterwards.  A subclass that checks or defaults its arguments
+    keeps a short ``__init__`` that calls this one.
     """
 
     __slots__ = ()
@@ -84,6 +84,9 @@ class Record:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
@@ -447,17 +450,18 @@ def _pack(c, width: int) -> int:
                            "little") ^ bias) - bias
 
 
-def _low_slots(x: int, n: int, width: int) -> int:
+def _low_slots(x: int, n: int, width: int, bias: int) -> int:
     """The n lowest slots of packed ``x``, each biased by half: when each of
     those slot values is below half in magnitude, slot i of the result is
-    its value plus half, whatever the higher slots hold."""
-    return (x + _bias(n, width)) & ((1 << (8 * width * n)) - 1)
+    its value plus half, whatever the higher slots hold.  ``bias`` is
+    ``_bias(n, width)``, which a caller that reads many rows builds once."""
+    return (x + bias) & ((1 << (8 * width * n)) - 1)
 
 
-def _decode(raw: int, n: int, width: int) -> list:
-    """The n slot values of ``raw``, a ``_low_slots`` result: the bias flipped
-    off as one constant, each slot read in two's complement."""
-    data = (raw ^ _bias(n, width)).to_bytes(n * width, "little")
+def _decode(raw: int, n: int, width: int, bias: int) -> list:
+    """The n slot values of ``raw``, a ``_low_slots`` result: ``bias``, as
+    there, flipped off as one constant, each slot read in two's complement."""
+    data = (raw ^ bias).to_bytes(n * width, "little")
     read = int.from_bytes
     return [read(data[i:i + width], "little", signed=True) for i in range(0, n * width, width)]
 
@@ -503,7 +507,8 @@ def _convolve(a, b, out_len):
                         + min(len(a), len(b)).bit_length())
     pa = _pack(a, width)
     prod = pa * (pa if square else _pack(b, width))
-    sub = _decode(_low_slots(prod, n, width), n, width)
+    bias = _bias(n, width)
+    sub = _decode(_low_slots(prod, n, width, bias), n, width, bias)
     if da * db != 1:
         sub = [normalize_coeff(Fraction(c, da * db)) for c in sub]
     out[fa + fb::d] = sub

@@ -27,6 +27,7 @@ from etaforms.eta import EtaQuotient
 from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, WeightForm, get_level
 from etaforms.series import QSeries, _progression, normalize_coeff
 from etaforms.verify import _shift_poly, congruence_scan, theta_check
+from test_series import naive_convolve      # the kernel's reference
 
 
 @pytest.fixture()
@@ -729,6 +730,50 @@ def record_widenings(monkeypatch):
     return widened
 
 
+class TestPackedTable:
+    def test_rows_read_back_through_each_widening(self):
+        # rows whose largest slot sits at the bound fit was asked for, pushed
+        # as sums that carry junk above their slots, with the slot count
+        # changing as the P table's does, or appended from their values;
+        # each widening repacks every row
+        rng = random.Random(21)
+        table = basis._Packed()
+        rows = []
+        widths = []
+        for bits in (3, 7, 12, 20, 21, 33, 50, 51, 80, 130):
+            for _ in range(3):
+                slots = rng.randint(1, 9)
+                values = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(slots)]
+                values[rng.randrange(slots)] = rng.choice([-1, 1]) * ((1 << bits) - 1)
+                width = table.width
+                if rng.random() < 0.25:
+                    table.append(values)
+                else:
+                    table.fit(bits)
+                    junk = rng.randint(-(1 << 200), 1 << 200) << (8 * table.width * slots)
+                    assert table.push(series._pack(values, table.width) + junk, slots) == values
+                assert 8 * table.width >= bits + 2
+                if table.width != width:
+                    # a widening adds a quarter, and at least two bytes
+                    need = series._slot_width(bits)
+                    assert table.width == need + max(need // 4, 2)
+                    widths.append(table.width)
+                rows.append(values)
+                assert table.values == rows
+                assert table.maxima == [max(map(abs, v)) for v in rows]
+                assert table.packed == [series._pack(v, table.width) for v in rows]
+        assert len(widths) >= 3, widths
+
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_cusp_factor_product_is_the_full_product(self, n):
+        cusp = get_level(n).cusp_poly
+        rng = random.Random(n)
+        for length in (1, 2, 3, 8, 41):
+            poly = [rng.choice([0, rng.randint(-10 ** 30, 10 ** 30)]) for _ in range(length)]
+            assert basis._cusp_times(cusp, poly) == \
+                naive_convolve(cusp, poly, len(cusp) + length - 1)
+
+
 class TestRowRecurrence:
     TOP = 24
 
@@ -927,6 +972,17 @@ class TestDeepElements:
         assert series.prec >= 40
         assert elem.expansion.agrees_with(series)
         assert elem.haupt_poly == poly
+
+
+def test_integer_coeff_reads_as_coeff_does():
+    e = basis.BasisElement(6, 0, 1, "M", QSeries(-1, (1, 0, 6, Fraction(1, 2)), 5), (0, 1))
+    for n in range(-4, 5):
+        if n != 2:
+            assert e.integer_coeff(n) == e.coeff(n) and type(e.integer_coeff(n)) is int
+    with pytest.raises(IntegralityViolation, match=r"q\^2 .* is 1/2, not an integer"):
+        e.integer_coeff(2)
+    with pytest.raises(PrecisionExceeded):
+        e.integer_coeff(5)
 
 
 def test_concurrent_reads_and_builds():

@@ -42,6 +42,8 @@ def test_fields_are_immutable(cls):
         before = getattr(record, name, None)
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            delattr(record, name)
         assert getattr(record, name, None) is before
 
 

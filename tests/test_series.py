@@ -11,7 +11,7 @@ import pytest
 
 from etaforms.errors import PrecisionExceeded, ZeroLeadingTerm
 from etaforms.leveldata import get_level
-from etaforms.series import (QSeries, _convolve, _decode, _low_slots, _pack, _progression,
+from etaforms.series import (QSeries, _bias, _convolve, _decode, _low_slots, _pack, _progression,
                              _slot_width, deepest, normalize_coeff)
 
 
@@ -270,8 +270,9 @@ class TestConvolveKernel:
             packed = _pack(values, width)
             assert packed == sum(v << (8 * width * i) for i, v in enumerate(values))
             above = rng.randint(-(1 << 300), 1 << 300) << (8 * width * n)
-            raw = _low_slots(packed + above, n, width)
-            assert _decode(raw, n, width) == values
+            bias = _bias(n, width)
+            raw = _low_slots(packed + above, n, width, bias)
+            assert _decode(raw, n, width, bias) == values
 
     def test_fraction_operands_with_large_coprime_denominators(self):
         rng = random.Random(5)
