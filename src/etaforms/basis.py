@@ -197,7 +197,7 @@ class _Family:
         self.slots = 0                  # per packed row: ceil((reach + 8) / stride)
         self._psi: QSeries | None = None
         self._psi_packed = (0, 0)       # (width, psi packed in slots of that width)
-        self._c: tuple = ()             # c_j for j = s-1, 2s-1, ...: psi past q^-1 on its progression
+        self._c: tuple = ()             # c_j, j = s-1, 2s-1, ...: psi past q^-1 on its progression
         self._sizes: list[int] = []     # their magnitudes
         self._psi_top = 0               # the largest magnitude in psi
         self._first: QSeries | None = None
