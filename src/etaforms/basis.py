@@ -12,7 +12,8 @@ z^m = first(tau) g(z) / (psi(z) - psi(tau)), with g the first element of
 weight 2-k in the other space.  Its z^m coefficient gives two recurrences:
 one on the polynomials P, and one on the rows themselves,
 f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, where
-psi = q^-1 + sum of c_j q^j.  First, psi and g hold only integers at every
+psi = q^-1 + sum of c_j q^j.  Psi, first and g are all a family reads, once
+and as deep as its reach needs.  First, psi and g hold only integers at every
 supported level, so every row and every P does too, and a family whose
 inputs are not integral raises IntegralityViolation.  Both recurrences run
 on Kronecker-packed integers, one _Packed table each.  A caller names all
@@ -120,12 +121,13 @@ class _Packed:
         """Widen the slots to hold values below 2^bits, repacking every row from its values.
 
         The maxima grow from row to row, so a widening adds a quarter, and at
-        least two bytes, for the rows to come.
+        least two bytes, for the rows to come; rows of one length share one bias.
         """
         width = _slot_width(bits)
         if width > self.width:
             width += max(width // 4, 2)
-            self.packed = [_pack(values, width) for values in self.values]
+            biases = {n: _bias(n, width) for n in set(map(len, self.values))}
+            self.packed = [_pack(values, width, biases[len(values)]) for values in self.values]
             self.width = width
             self.slots = 0                  # the held bias is for the old width
 
@@ -171,8 +173,9 @@ class _Family:
     Horner evaluates each named row alone: ``baby`` holds first * psi^b,
     and ``giant`` the last psi^B it used.  ``elements`` receives only the
     rows a request named, so a cache file holds what callers asked for.
-    ``top`` is the highest index a request asked for; once every index from
-    m0+1 to ``top`` is built, the tables are dropped.
+    The first row built reads the inputs, once, by ``_inputs``.  ``top`` is
+    the highest index a request asked for; once every index from m0+1 to
+    ``top`` is built, the tables are dropped and the inputs kept.
     """
 
     def __init__(self, data: LevelData, k: int, space: str, reach: int):
@@ -185,23 +188,17 @@ class _Family:
         self.top = self.m0
         self.elements: dict[int, BasisElement] = {}
         self.dirty = True                   # differs from its cache file, or has none
+        self._psi: QSeries | None = None    # with the other inputs, set by _inputs
         self._drop_tables()
 
     def _drop_tables(self) -> None:
+        """Free the tables that grow with the rows: P, rows, babies, giant, packed psi."""
         self.polys = _Packed()          # P_m0 = 1, ... on psi's progression
         self.polys.append([1])
         self.baby: list[QSeries] = []
         self.giant: QSeries | None = None
         self.table = _Packed()          # rows m0, m0 + 1, ... on psi's progression
-        self.stride = 1
-        self.slots = 0                  # per packed row: ceil((reach + 8) / stride)
-        self._psi: QSeries | None = None
         self._psi_packed = (0, 0)       # (width, psi packed in slots of that width)
-        self._c: tuple = ()             # c_j, j = s-1, 2s-1, ...: psi past q^-1 on its progression
-        self._sizes: list[int] = []     # their magnitudes
-        self._psi_top = 0               # the largest magnitude in psi
-        self._first: QSeries | None = None
-        self._dual: QSeries | None = None
 
     def element(self, m: int) -> BasisElement:
         return self.rows([m])[0]
@@ -226,7 +223,8 @@ class _Family:
         degrees = sorted(m - self.m0 for m, prec in asked.items()
                          if m not in self.elements or self.elements[m].expansion.prec < prec)
         if degrees:
-            self._tables(degrees[-1])
+            if self._psi is None:
+                self._inputs()
             b = self._plan(degrees)
             if b is None:
                 self._recur(degrees)
@@ -243,44 +241,39 @@ class _Family:
                 self._drop_tables()
         return [self.elements[m] for m in ms]
 
-    def _tables(self, d: int) -> None:
-        """Set psi, first and their stride once, and g, the first element of
-        weight 2-k in the other space, as deep as degree d reads; refuse, with
-        IntegralityViolation, a coefficient of the three that is not an int."""
-        if self._psi is None:
-            psi = self._psi = self.data.hauptmodul_series(self.reach + 7)
-            first = self._first = _first_series(self.data, self.k, self.space,
-                                                self.reach + 8 - self.m0)
-            self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
-            # psi.coeffs[0] is q^-1's, so c_j sits at j + 1: nonzero only if s divides j + 1
-            self._c = psi.coeffs[self.stride::self.stride]
-            self._sizes = list(map(abs, self._c))
-            self._psi_top = max(map(abs, psi.coeffs))
-        if self._dual is None or self._dual.prec < self.m0 + d:
-            # once: as deep as the top asks, a first element as the dual family at this reach
-            need = max(self.top, self.m0 + d)
-            if (self.k, self.space) == (0, M_SPACE):
-                # theta relation at m = 1: g is -theta(psi), no weight form needed
-                g = -theta(self.data.hauptmodul_series(need))
-            else:
-                dual = M_SPACE if self.space == S_SPACE else S_SPACE
-                need = max(need, self.reach + 8 + _gap(self.data, 2 - self.k, dual))
-                g = _first_series(self.data, 2 - self.k, dual, need)
-            for name, s in (("first", self._first), ("psi", self._psi), ("g", g)):
-                c = next((c for c in s.coeffs if type(c) is not int), 0)
-                if c:
-                    raise IntegralityViolation(
-                        f"{name} of (level {self.data.N}, weight {self.k}, space {self.space}) "
-                        f"holds {c}, not an integer")
-            self._dual = g
-
-    def _g(self, n: int):
-        """g_(m0+n), added at degree n + 1: zero unless the stride divides n + 1, as c_n is."""
-        g = self._dual.coeff(self.m0 + n)
-        if g and (n + 1) % self.stride:
-            raise RuntimeError(f"g_{self.m0 + n} leaves the step-{self.stride} progression "
-                               f"of psi and first")
-        return g
+    def _inputs(self) -> None:
+        """Read psi, first and g, the first element of weight 2-k in the other
+        space, as deep as any row the reach allows, check them and derive what
+        the recurrences use.  IntegralityViolation refuses a coefficient that
+        is not an int, a first element without a unit pivot and a g off the
+        progression of psi and first."""
+        data, k = self.data, self.k
+        psi = self._psi = data.hauptmodul_series(self.reach + 7)
+        first = self._first = _first_series(data, k, self.space, self.reach + 8 - self.m0)
+        if (k, self.space) == (0, M_SPACE):
+            g = -theta(psi)             # the theta relation at m = 1: no weight form needed
+        else:
+            # P_(m0+d), d <= reach, reads g to q^(m0 + d - 1); the dual family shares it
+            dual = M_SPACE if self.space == S_SPACE else S_SPACE
+            g = _first_series(data, 2 - k, dual, self.reach + max(self.m0, 8 + _gap(data, 2 - k, dual)))
+        self._dual = g
+        for name, series in (("first", first), ("psi", psi), ("g", g)):
+            c = next((c for c in series.coeffs if type(c) is not int), 0)
+            if c:
+                raise IntegralityViolation(
+                    f"{name} of (level {data.N}, weight {k}, space {self.space}) "
+                    f"holds {c}, not an integer")
+        self._check(self.m0, [first.coeff(self.gap)])
+        s = self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
+        # g_(m0+n) joins degree n + 1, so it vanishes unless s divides n + 1, as c_n does
+        off = [i for i, c in enumerate(g.coeffs, g.valuation) if c and (i + 1 - self.m0) % s]
+        if off:
+            raise IntegralityViolation(f"g_{off[0]} leaves the step-{s} progression of psi and first")
+        self.slots = -(-(self.reach + 8) // s)     # per packed row
+        # psi.coeffs[0] is q^-1's, so c_j sits at j + 1: nonzero only if s divides j + 1
+        self._c = psi.coeffs[s::s]
+        self._sizes = list(map(abs, self._c))      # their magnitudes
+        self._psi_top = max(map(abs, psi.coeffs))
 
     def _plan(self, degrees: list[int]) -> int | None:
         """None for the recurrence, else the baby count B for Horner: whichever
@@ -332,8 +325,6 @@ class _Family:
         """
         table = self.table
         if not table.packed:
-            self.slots = -(-(self.reach + 8) // self.stride)
-            self._check(self.m0, [self._first.coeff(self.gap)])
             table.append(self._first.coeffs[::self.stride])
         for d in degrees:
             if d < len(table.packed):
@@ -355,7 +346,7 @@ class _Family:
 
         One product, the last row times psi, then the c_j, j < n, each times
         row n - j shifted (j + 1) / s slots, summed in one C-level pass with
-        psi's progression and magnitudes from ``_tables``, and the fold term
+        psi's progression and magnitudes from ``_inputs``, and the fold term
         j = n.  The slot width W satisfies
         8 W >= bits(n max|row| max|psi| + sum of |c_j| max|row n-j|) + 2, n
         the slots of a row, from the maxima of the decoded rows, so every slot
@@ -370,7 +361,7 @@ class _Family:
         psi = self._psi
         # psi * row n is known to row n+1's precision; every other term is known deeper
         assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
-        fold = psi.coeff(n) - self._g(n)
+        fold = psi.coeff(n) - self._dual.coeff(m)
         # c_j for j = s-1, 2s-1, ... < n meets the rows n+1-s, n+1-2s, ... down to row 1
         lower = slice(n + 1 - s, 0, -s) if n >= s else slice(0)
         table.fit((self.slots * table.maxima[n] * self._psi_top
@@ -406,11 +397,11 @@ class _Family:
         1, then zeros: that makes it the unique canonical element, and P is checked."""
         for i, c in enumerate(head[1:], 1):
             if c:
-                raise RuntimeError(
+                raise IntegralityViolation(
                     f"P_{m}(psi) left q^{i * step - m} uncancelled for "
                     f"(level {self.data.N}, weight {self.k}, space {self.space})")
         if head[0] != 1:
-            raise RuntimeError(f"unit pivot failed at index {m}")
+            raise IntegralityViolation(f"unit pivot failed at index {m}")
 
     def _row(self, d: int, values: list) -> QSeries:
         """Row d, m = m0 + d, from its slot values: q^-m times a series in q^stride."""
@@ -445,13 +436,12 @@ class _Family:
         so each nonzero c_j costs one C-level multiply-add.  The slot width
         obeys a bound from the decoded maxima, as in ``_step``.
         """
-        self._tables(d)
         s, polys = self.stride, self.polys
         if len(polys.packed) <= d:
             for n in range(len(polys.packed) - 1, d):
                 # c_j P_(n-j) for j = s-1, 2s-1, ... <= n: the rows n+1-s, n+1-2s, ... down to 0
                 lower = slice(n + 1 - s, None, -s) if n + 1 >= s else slice(0)
-                g = self._g(n)
+                g = self._dual.coeff(self.m0 + n)
                 polys.fit((polys.maxima[n] + abs(g)
                            + sum(map(operator.mul, self._sizes, polys.maxima[lower]))).bit_length())
                 acc = polys.packed[n] << 8 * polys.width if (n + 1) % s == 0 else polys.packed[n]

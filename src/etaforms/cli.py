@@ -187,8 +187,8 @@ def cmd_verify(args) -> int:
     from . import verify
     cache = _resolve_cache(args)
     if args.check == "duality":
-        report = verify.duality_check(args.level, args.weight, args.window,
-                                      args.nwindow or args.window * 2, cache=cache)
+        nwindow = args.window * 2 if args.nwindow is None else args.nwindow
+        report = verify.duality_check(args.level, args.weight, args.window, nwindow, cache=cache)
     elif args.check == "genfun":
         report = verify.genfun_check(args.level, args.weight, args.mmax, args.zprec, cache=cache)
     elif args.check == "theta":
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_verify.add_argument("--weight", type=int, default=0)
     p_verify.add_argument("--window", type=int, default=15, help="duality: max pole order")
-    p_verify.add_argument("--nwindow", type=int, help="duality: max dual index")
+    p_verify.add_argument("--nwindow", type=int, help="duality: max dual index (default 2 * window)")
     p_verify.add_argument("--mmax", type=int, default=10)
     p_verify.add_argument("--zprec", type=int, default=32)
     p_verify.add_argument("--zero-window", type=int, default=40)

@@ -438,14 +438,16 @@ def _bias(n: int, width: int) -> int:
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
 
 
-def _pack(c, width: int) -> int:
+def _pack(c, width: int, bias: int | None = None) -> int:
     """The integer sum of c[i] * 2^(8 width i), for integers |c[i]| below half.
 
     Each entry is written in two's complement into its own little-endian
     slot; flipping the top bit of every slot biases it by half, so every slot
-    is nonnegative, and the bias is subtracted as one constant.
+    is nonnegative, and the bias, ``_bias(len(c), width)`` unless a caller
+    that packs many rows of one length passes it, is subtracted as one constant.
     """
-    bias = _bias(len(c), width)
+    if bias is None:
+        bias = _bias(len(c), width)
     return (int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True) for x in c]),
                            "little") ^ bias) - bias
 

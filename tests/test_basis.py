@@ -482,7 +482,7 @@ class TestRecurrence:
         psi = get_level(n).hauptmodul_series(40)
         for k in range(-4, 7, 2):
             for space in ("M", "S"):
-                fam = basis._Family(get_level(n), k, space, 40)
+                fam = read_family(get_level(n), k, space, 40)
                 got = [fam._poly(d) for d in (40,) + tuple(range(40))]
                 want = eliminated_polys(n, k, space, 40)
                 assert got == want[40:] + want[:40], (k, space)
@@ -541,11 +541,17 @@ class TestRecurrence:
         assert 2 * sum(counted) < 88_766_292
 
 
+def read_family(data, k, space, reach):
+    """A family at ``reach`` with its inputs read, so that _poly may be asked directly."""
+    fam = basis._Family(data, k, space, reach)
+    fam._inputs()
+    return fam
+
+
 def triangle_polys(fam, degree):
     """P_(m0+d) for d <= degree by the full triangle: every x^t coefficient of
     every P, the zeros off the stride included, each sum over the c_j on
     psi's progression, read from the family's own psi and g."""
-    fam._tables(degree)
     c = [fam._psi.coeff(j) for j in range(degree)]
     first, step = _progression(c)
     first, step = first or 0, step or 1
@@ -565,7 +571,6 @@ def column_polys(fam, degree):
     cols[t] holds the x^t coefficients of P_(m0+t), P_(m0+t+s), ..., each one
     dot product over the c_j with s dividing j + 1, read from the family's own
     psi and g."""
-    fam._tables(degree)
     s = fam.stride
     c = [fam._psi.coeff(j) for j in range(s - 1, degree, s)]
     cols = [[1]]
@@ -599,7 +604,7 @@ class TestPolyTable:
     @pytest.mark.parametrize("n, step", [(12, 2), (18, 3)])
     def test_strided_table_equals_the_triangle(self, n, step, space):
         for k in range(-4, 7, 2):
-            fam = basis._Family(get_level(n), k, space, self.DEGREE + 8)
+            fam = read_family(get_level(n), k, space, self.DEGREE + 8)
             # the top degree first, then each lower one from the finished table
             got = [fam._poly(d) for d in (self.DEGREE,) + tuple(range(self.DEGREE))]
             want = triangle_polys(fam, self.DEGREE)
@@ -612,7 +617,7 @@ class TestPolyTable:
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
     def test_packed_table_equals_the_columns(self, n, space):
         for k in range(-4, 7, 2):
-            fam = basis._Family(get_level(n), k, space, 68)
+            fam = read_family(get_level(n), k, space, 68)
             got = [fam._poly(d) for d in (60,) + tuple(range(60))]
             want = column_polys(fam, 60)
             assert got == want[-1:] + want[:-1], (k, space)
@@ -622,11 +627,11 @@ class TestPolyTable:
     @pytest.mark.parametrize("n", [18, 6])
     def test_packed_table_equals_the_columns_at_a_scan_depth(self, n):
         # the cold level-18 scan reads P_324; level 6 is the widest table
-        fam = basis._Family(get_level(n), 0, "M", 332)
+        fam = read_family(get_level(n), 0, "M", 332)
         assert [fam._poly(d) for d in range(325)] == column_polys(fam, 324)
 
     def test_level18_stores_a_third_of_the_triangle(self):
-        fam = basis._Family(get_level(18), 0, "M", 330)
+        fam = read_family(get_level(18), 0, "M", 330)
         fam._poly(323)
         triangle = 324 * 325 // 2
         assert len(fam.polys.packed) == 324
@@ -636,23 +641,21 @@ class TestPolyTable:
         assert abs(3 * stored - triangle) < 3 * 324
 
     def test_every_supported_family_has_integral_inputs(self):
-        # first, psi and g hold only ints, or _tables raises IntegralityViolation
+        # first, psi and g hold only ints, or _inputs raises IntegralityViolation
         for n in SUPPORTED_LEVELS:
             for k in range(-4, 7, 2):
                 for space in ("M", "S"):
-                    basis._Family(get_level(n), k, space, 400)._tables(400)
+                    read_family(get_level(n), k, space, 400)
 
     @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S"), (-2, "M")])
     def test_shifted_psi_is_served_at_step_one(self, k, space):
         # psi + 1 has c_0 = 1, off the step-3 progression of level 18
-        shifted = basis._Family(shifted_level(18, 1), k, space, 40)
-        shifted._tables(15)
+        shifted = read_family(shifted_level(18, 1), k, space, 40)
         assert shifted.stride == 1
         assert [shifted._poly(d) for d in range(16)] == triangle_polys(shifted, 15)
         assert [shifted._poly(d) for d in range(41)] == column_polys(shifted, 40)
         got = shifted.rows(range(shifted.m0, shifted.m0 + 16))
-        plain = basis._Family(get_level(18), k, space, 40)
-        plain._tables(15)
+        plain = read_family(get_level(18), k, space, 40)
         assert plain.stride == 3
         want = plain.rows(range(plain.m0, plain.m0 + 16))
         for a, b in zip(got, want):
@@ -665,27 +668,30 @@ class TestPolyTable:
         # spaces by polynomials that are not integral: no packed table holds them
         for k, space in ((0, "M"), (2, "S"), (-2, "M")):
             for build in (lambda fam: fam.rows(range(fam.m0, fam.m0 + 12)),
-                          lambda fam: fam._poly(12)):
+                          lambda fam: fam._inputs()):
                 fam = basis._Family(shifted_level(n, Fraction(1, 2)), k, space, 40)
                 with pytest.raises(IntegralityViolation, match="psi of .* holds 1/2"):
                     build(fam)
 
     def test_slots_widen_as_the_table_grows(self, monkeypatch):
         widened = record_widenings(monkeypatch)
-        fam = basis._Family(get_level(6), 0, "M", self.DEGREE + 8)
+        fam = read_family(get_level(6), 0, "M", self.DEGREE + 8)
         polys = fam.polys
         got = [fam._poly(d) for d in range(self.DEGREE + 1)]
         assert len(widened[polys]) >= 3, widened[polys]
         assert got == column_polys(fam, self.DEGREE)
 
     @pytest.mark.parametrize("recurrence", ["poly", "rows"])
-    def test_g_off_the_progression_raises(self, recurrence):
+    def test_g_off_the_progression_raises(self, monkeypatch, recurrence):
+        # at (18, 0, M) g is -theta(psi); g_0 sits at degree 1, off the
+        # multiples of 3 where g may be nonzero
+        theta = basis.theta
+        monkeypatch.setattr(basis, "theta", lambda s: theta(s) + QSeries.monomial(1, 0, s.prec))
         fam = basis._Family(get_level(18), 0, "M", 40)
-        fam._tables(30)
-        # g_0 sits at degree 1, off the multiples of 3 where g may be nonzero
-        fam._dual = fam._dual + QSeries.monomial(1, 0, fam._dual.prec)
-        with pytest.raises(RuntimeError, match="g_0 leaves the step-3 progression"):
-            fam._poly(5) if recurrence == "poly" else fam.rows(range(0, 6))
+        with pytest.raises(IntegralityViolation, match="g_0 leaves the step-3 progression"):
+            # scattered rows go to Horner and the P table, a contiguous run to the row recurrence
+            fam.rows([5, 30]) if recurrence == "poly" else fam.rows(range(0, 6))
+        assert fam.polys.values == [[1]] and fam.table.packed == []
 
 
 def peeled_rows(n, k, space, reach, top):
@@ -764,6 +770,24 @@ class TestPackedTable:
                 assert table.packed == [series._pack(v, table.width) for v in rows]
         assert len(widths) >= 3, widths
 
+    def test_a_widening_builds_one_bias_per_row_length(self, monkeypatch):
+        lengths = []
+        bias = series._bias
+
+        def counting(n, width):
+            lengths.append(n)
+            return bias(n, width)
+        monkeypatch.setattr(series, "_bias", counting)
+        monkeypatch.setattr(basis, "_bias", counting)
+        rows = [[i, -i, 3 * i, 0, 1] for i in range(1, 9)] + [[5, -7, 2]] * 3
+        table = basis._Packed()
+        for values in rows:
+            table.append(values)
+        lengths.clear()
+        table.fit(100)
+        assert sorted(lengths) == [3, 5]        # eleven rows of two lengths
+        assert table.packed == [series._pack(v, table.width) for v in rows]
+
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
     def test_cusp_factor_product_is_the_full_product(self, n):
         cusp = get_level(n).cusp_poly
@@ -813,6 +837,31 @@ class TestRowRecurrence:
         want = peeled_rows(n, k, space, fam.reach, 20)
         for e in got + [fam.element(m) for m in range(m0, m0 + 11)]:
             assert element_fields(e) == want[e.index]
+
+    @pytest.mark.parametrize("n, k, space", [(6, 0, "M"), (12, 2, "S"), (18, -2, "M")])
+    def test_inputs_are_read_once_across_a_table_drop(self, monkeypatch, n, k, space):
+        data = get_level(n)
+        m0 = -(data.n0(k) if space == "M" else data.n1(k))
+        dual = "S" if space == "M" else "M"
+        cache = BasisCache()
+        fam = cache.family(n, k, space, min_index=m0 + 10, min_prec=30)
+        # expanded deeper beforehand, so that every read below is served, not computed
+        data.hauptmodul_series(fam.reach + 50)
+        for weight, sp in ((k, space), (2 - k, dual)):
+            _first_series(data, weight, sp, fam.reach + 50)
+        reads = []
+        haupt, first = LevelData.hauptmodul_series, basis._first_series
+        monkeypatch.setattr(LevelData, "hauptmodul_series",
+                            lambda self, prec: reads.append("psi") or haupt(self, prec))
+        monkeypatch.setattr(basis, "_first_series", lambda data, weight, sp, prec:
+                            reads.append((weight, sp)) or first(data, weight, sp, prec))
+        fam.rows(range(m0, m0 + 11))
+        assert fam.table.packed == []           # every index through top is built
+        assert cache.family(n, k, space, min_index=m0 + 20, min_prec=20) is fam
+        fam.rows(range(m0 + 15, m0 + 21))
+        # g at weight 0 in M is -theta(psi), from the same psi
+        g = [] if (k, space) == (0, "M") else [(2 - k, dual)]
+        assert reads == ["psi", (k, space)] + g
 
     def test_continues_a_family_loaded_with_gaps(self, monkeypatch, tmp_path):
         disk = BasisCache(directory=str(tmp_path))
@@ -883,7 +932,7 @@ class TestFirstSeriesSizing:
         for k in (-2, 2, 6):
             for space in ("M", "S"):
                 fam = basis._Family(wrong, k, space, 40)
-                with pytest.raises((InsufficientPrecision, RuntimeError)):
+                with pytest.raises((InsufficientPrecision, IntegralityViolation)):
                     for m in range(fam.m0, fam.m0 + 4):
                         fam.element(m)
 

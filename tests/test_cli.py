@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import ast
 import json
 import os
 import subprocess
@@ -82,6 +83,17 @@ class TestVerify:
                                "--weight", "0", "--window", "6", "--no-cache-dir")
         assert code == 0
         assert "pass" in out
+
+    @pytest.mark.parametrize("nwindow, n_max", [([], 6), (["--nwindow", "0"], 0),
+                                                 (["--nwindow", "2"], 2)],
+                             ids=["default", "zero", "two"])
+    def test_duality_reports_the_dual_window_asked_for(self, capsys, nwindow, n_max):
+        from etaforms.verify import duality_check
+        code, out, _ = run_cli(capsys, "verify", "duality", "--level", "6", "--window", "3",
+                               *nwindow, "--no-cache-dir")
+        report = duality_check(6, 0, 3, n_max, cache=basis.BasisCache())
+        assert (code, out) == (0, report.render_text() + "\n")
+        assert report.params["n_max"] == n_max
 
     def test_uplemma(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "uplemma", "--level", "12",
@@ -395,6 +407,24 @@ class TestValidateAndCache:
         assert warm == cold
         assert path.read_bytes() == whole
 
+    def test_edited_row_that_breaks_a_later_row_is_an_integrity_error(self, capsys, tmp_path):
+        # the recurrence continues from stored row 10, so a coefficient edited
+        # there leaves row 11 with a term inside its gap
+        cache = basis.BasisCache(directory=str(tmp_path))
+        cache.rows(6, 0, "M", range(0, 11), 30)
+        [path] = cache.save()
+        with open(path) as fh:
+            doc = json.load(fh)
+        row = doc["elements"]["10"]
+        row["coeffs"][1 - row["valuation"]] = str(int(row["coeffs"][1 - row["valuation"]]) + 1)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_cli(capsys, "verify", "duality", "--level", "6", "--weight", "0",
+                                 "--window", "15", "--nwindow", "5", "--cache-dir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == ("data integrity error: P_11(psi) left q^0 uncancelled "
+                       "for (level 6, weight 0, space M)\n")
+
     @pytest.mark.parametrize("name, family", [
         ("basis_N6_k2_M.json", ["--level", "6", "--weight", "2", "--m", "1"]),
         ("basis_N6_k0_S.json", ["--level", "6", "--weight", "0", "--space", "S", "--m", "3"]),
@@ -501,6 +531,22 @@ class TestValidateAndCache:
         code, warm, _ = run_cli(capsys, *check, "--cache-dir", cache_dir)
         assert code == 0
         assert warm == cold
+
+
+def test_no_module_raises_runtime_error():
+    # a failure is an EtaformsError or a usage error, so main maps it to an exit code
+    src = os.path.dirname(etaforms.__file__)
+    raised = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                        raised.append(f"{name}:{node.lineno}")
+    assert raised == []
 
 
 STARTUP_PROBE = """
