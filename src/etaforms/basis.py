@@ -483,15 +483,30 @@ def _expand_first(data: LevelData, k: int, space: str, prec: int) -> QSeries:
     factors = [data.weight_form_series(w, shift + data.weight_forms[w].vanishing) ** e
                for w, e in data.weight_exponents(k).items() if e]
     if space == S_SPACE:
-        psi = data.hauptmodul_series(shift - 1)
-        powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, len(data.cusp_poly) - 1)
-        factors.append(_substitute(data.cusp_poly, powers, psi.prec))
+        factors.append(_cusp_factor(data, shift + 1 - len(data.cusp_poly)))
     out = functools.reduce(operator.mul, factors) if factors else QSeries.one(prec)
     if out.prec < prec:
         raise InsufficientPrecision(
             f"first element of (level {data.N}, weight {k}, {space}) reached only "
             f"O(q^{out.prec})", needed=prec)
     return out.truncated(prec)
+
+
+def _cusp_factor(data: LevelData, prec: int) -> QSeries:
+    """The cusp polynomial evaluated at psi, known to O(q^prec).
+
+    Served from the level's deepest expansion, so the S-space families of a
+    level share one.
+    """
+    return deepest(data._expansions, "cuspfactor", prec, lambda p: _expand_cusp_factor(data, p))
+
+
+def _expand_cusp_factor(data: LevelData, prec: int) -> QSeries:
+    """cusp_poly(psi) to O(q^prec): psi^i is known to psi's precision less i - 1."""
+    top = len(data.cusp_poly) - 1
+    psi = data.hauptmodul_series(prec + top - 1)
+    powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, top)
+    return _substitute(data.cusp_poly, powers, psi.prec)
 
 
 def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]:

@@ -4,15 +4,25 @@ An eta quotient is a formal product of factors ``eta(d*z)^r`` with a rational
 scalar in front.  Expansion separates the exact fractional q-offset
 (sum of r*d/24) from a valuation-zero unit series, so quotients whose offset
 is not an integer can still be inspected and reported instead of crashing.
+
+The unit is expanded from its logarithmic derivative, with no series product
+or reciprocal.  Since q d/dq log prod_n (1 - q^(d n)) = -d sum_k sigma(k) q^(d k),
+the identity behind eta's relation to E2 (Apostol, *Modular Functions and
+Dirichlet Series in Number Theory*, ch. 3), the unit u of prod eta(d*z)^r_d
+satisfies j u_j = sum_(i=1..j) L_i u_(j-i) with
+L_k = -sum_(d | k) r_d d sigma(k/d): the log-derivative method for products and
+powers of power series (Knuth, TAOCP vol. 2, section 4.7).  Every step is an
+exact integer division.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import FractionalValuation, InvalidCusp, MixedWeight
+from .errors import FractionalValuation, IntegralityViolation, InvalidCusp, MixedWeight
 from .series import QSeries, Record, deepest
 
 
@@ -46,10 +56,7 @@ def eisenstein_weight2(t: int, prec: int) -> QSeries:
         raise ValueError("scale must be at least 2")
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    sigma = [0] * max(prec, 1)
-    for d in range(1, prec):
-        for m in range(d, prec, d):
-            sigma[m] += d
+    sigma = _divisor_sums(prec)
     terms = {0: 1 - t}
     for n in range(1, prec):
         c = -24 * sigma[n]
@@ -57,6 +64,35 @@ def eisenstein_weight2(t: int, prec: int) -> QSeries:
             c += 24 * t * sigma[n // t]
         terms[n] = c
     return QSeries.from_terms(terms, prec)
+
+
+def _divisor_sums(n: int) -> list[int]:
+    """sigma(k), the sum of the divisors of k, at every index 0 < k < n, and 0
+    at index 0: a sieve that adds each d to its multiples, one slice at a time."""
+    sigma = [0] * max(n, 1)
+    for d in range(1, n):
+        sigma[d::d] = [s + d for s in sigma[d::d]]
+    return sigma
+
+
+def _rational_sum(parts, prec: int) -> QSeries:
+    """The sum of scalar * q^offset * (coeffs[0] + coeffs[1] q + ...) over the
+    ``(scalar, offset, coeffs)`` parts, known to O(q^prec).
+
+    Each part's integer coefficients reach at most q^(prec - 1).  They are
+    scaled by the part's scalar times L, the lcm of the scalars' denominators,
+    and added as integers; the sum is divided by L once.
+    """
+    den = lcm(*[s.denominator for s, _, _ in parts])
+    lo = min([prec] + [off for _, off, _ in parts])
+    out = [0] * (prec - lo)
+    for s, off, coeffs in parts:
+        k = s.numerator * (den // s.denominator)
+        i = off - lo
+        out[i:i + len(coeffs)] = [x + k * c for x, c in zip(out[i:], coeffs)]
+    if den != 1:
+        out = [Fraction(x, den) if x % den else x // den for x in out]
+    return QSeries(lo, out, prec)
 
 
 _units: dict[int, QSeries] = {}
@@ -119,26 +155,51 @@ class EtaQuotient(Record):
         return Fraction(sum(r * d for d, r in self.factors), 24)
 
     def unit(self, prec: int) -> QSeries:
-        """Valuation-zero series u with quotient = scalar * q^offset * u."""
-        num = QSeries.one(prec)
-        den = QSeries.one(prec)
+        """Valuation-zero series u with quotient = scalar * q^offset * u, to O(q^prec).
+
+        u is a series in Q = q^g, g the gcd of the dilations.  Over the factors
+        eta(g e z)^r, Q d/dQ log u = sum_k L_k Q^k with
+        L_k = -sum_(e | k) r e sigma(k/e), eta's E2 identity (Apostol, ch. 3), so
+        its Q^j coefficient follows from j u_j = sum_(i=1..j) L_i u_(j-i), the
+        log-derivative method (Knuth, TAOCP vol. 2, section 4.7).  Each sum is
+        one C-level ``sum(map(...))``, and the division by j is exact: a
+        remainder raises IntegralityViolation, so u is exact or refused.
+        """
+        if prec < 1:
+            raise ValueError("precision must be at least 1")
+        step = gcd(*[delta for delta, _ in self.factors])
+        n = -(-prec // step)
+        sigma = _divisor_sums(n)
+        log_der = [0] * n
         for delta, r in self.factors:
-            base = eta_unit(delta, prec)
-            if r > 0:
-                num = num * (base ** r if r > 1 else base)
-            else:
-                den = den * (base ** (-r) if r < -1 else base)
-        return num * den.reciprocal()
+            e = delta // step
+            log_der[e::e] = [x - r * e * s for x, s in zip(log_der[e::e], sigma[1:])]
+        # L_(n-1), ..., L_1, so that the tail from L_j down pairs with u_0, u_1, ...
+        falling = log_der[:0:-1]
+        u = [1]
+        for j in range(1, n):
+            total = sum(map(operator.mul, falling[n - 1 - j:], u))
+            u_j, rem = divmod(total, j)
+            if rem:
+                raise IntegralityViolation(
+                    f"{format_eta_quotient(self)}: the unit's recurrence gives {j} u_{j} = "
+                    f"{total}, not a multiple of {j}")
+            u.append(u_j)
+        return QSeries(0, u, n).dilated(step).truncated(prec)
+
+    def integral_offset(self) -> int:
+        """The offset as an int; FractionalValuation when it is not an integer."""
+        off = self.offset()
+        if off.denominator != 1:
+            raise FractionalValuation(format_eta_quotient(self), off)
+        return int(off)
 
     def series(self, prec: int) -> QSeries:
         """Absolute expansion known through q^(prec-1).
 
         Raises FractionalValuation when the offset is not an integer.
         """
-        off = self.offset()
-        if off.denominator != 1:
-            raise FractionalValuation(format_eta_quotient(self), off)
-        off = int(off)
+        off = self.integral_offset()
         rel = prec - off
         if rel < 1:
             return QSeries.zero(prec)
@@ -168,10 +229,14 @@ class EtaCombination(Record):
         return weights.pop()
 
     def series(self, prec: int) -> QSeries:
-        total = QSeries.zero(prec)
-        for t in self.terms:
-            total = total + t.series(prec)
-        return total
+        """The sum of the terms' expansions, known through q^(prec-1): each unit
+        is expanded only as far as its offset leaves below q^prec.
+
+        Raises FractionalValuation for the first term whose offset is not an integer.
+        """
+        offsets = [t.integral_offset() for t in self.terms]
+        return _rational_sum([(t.scalar, off, t.unit(prec - off).coeffs)
+                              for t, off in zip(self.terms, offsets) if off < prec], prec)
 
 
 def ligozat_order(eq: EtaQuotient, c: int) -> Fraction:

@@ -18,6 +18,7 @@ from .errors import EtaformsError, InsufficientPrecision, UnsupportedLevel
 from .eta import (
     EtaCombination,
     EtaQuotient,
+    _rational_sum,
     eisenstein_weight2,
     ligozat_order,
     parse_eta_quotient,
@@ -42,10 +43,8 @@ class E2Combination(Record):
         return Fraction(2)
 
     def series(self, prec: int) -> QSeries:
-        total = QSeries.zero(prec)
-        for scale, t in self.terms:
-            total = total + eisenstein_weight2(t, prec).scalar_mul(scale)
-        return total
+        return _rational_sum([(scale, 0, eisenstein_weight2(t, prec).coeffs)
+                              for scale, t in self.terms], prec)
 
 
 class WeightForm(Record):

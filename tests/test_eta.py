@@ -1,19 +1,25 @@
 """Tests for eta-quotient expansion, weights, and cusp orders."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from etaforms.errors import FractionalValuation, InvalidCusp, MixedWeight
+import etaforms.eta
+import etaforms.series
+from etaforms.errors import FractionalValuation, IntegralityViolation, InvalidCusp, MixedWeight
 from etaforms.eta import (
     EtaCombination,
     EtaQuotient,
+    eisenstein_weight2,
     eta_unit,
     euler_product,
     format_eta_quotient,
     ligozat_order,
     parse_eta_quotient,
 )
+from etaforms.leveldata import (SUPPORTED_LEVELS, E2Combination, get_level,
+                                uncorrected_weight_form)
 from etaforms.series import QSeries
 
 
@@ -27,6 +33,65 @@ def euler_oracle(prec: int) -> QSeries:
 
 # the quotient part of the level-6 hauptmodul
 PSI6_QUOT = EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8})
+
+
+def product_unit(eq: EtaQuotient, prec: int) -> QSeries:
+    """The reference unit: powers of each eta_unit by series products, times
+    one reciprocal of the denominator."""
+    num = QSeries.one(prec)
+    den = QSeries.one(prec)
+    for delta, r in eq.factors:
+        base = eta_unit(delta, prec)
+        if r > 0:
+            num = num * base ** r
+        else:
+            den = den * base ** -r
+    return num * den.reciprocal()
+
+
+def sum_reference(parts, prec: int) -> QSeries:
+    """The sum of the (scalar, series) parts, each scaled and added as a QSeries."""
+    total = QSeries.zero(prec)
+    for scalar, series in parts:
+        total = total + series.scalar_mul(scalar)
+    return total
+
+
+def quotient_reference(eq: EtaQuotient, prec: int) -> QSeries:
+    off = eq.integral_offset()
+    if off >= prec:
+        return QSeries.zero(prec)
+    return product_unit(eq, prec - off).shifted(off)
+
+
+def fixture_quotients():
+    for n in SUPPORTED_LEVELS:
+        data = get_level(n)
+        yield f"{n}-haupt", data.hauptmodul_quotient
+        for w, form in sorted(data.weight_forms.items()):
+            if isinstance(form.combination, EtaCombination):
+                for i, t in enumerate(form.combination.terms):
+                    yield f"{n}-w{w}-{i}", t
+        for p, aux in sorted(data.aux.items()):
+            yield f"{n}-alt{p}", aux.alt
+            yield f"{n}-cusp{p}", aux.cusp
+    for n in (12, 18):
+        for i, t in enumerate(uncorrected_weight_form(n).terms):
+            yield f"{n}-uncorrected-{i}", t
+
+
+def random_quotients(count: int, seed: int = 36):
+    rng = random.Random(seed)
+    divisors = [d for d in range(1, 37) if 36 % d == 0]
+    for i in range(count):
+        factors = {d: rng.randint(-9, 9) for d in rng.sample(divisors, rng.randint(1, 5))}
+        if not any(factors.values()):
+            factors[rng.choice(divisors)] = 1
+        yield f"random-{i}", EtaQuotient(36, factors)
+
+
+UNIT_PRECS = (1, 2, 7, 40, 120, 400)
+QUOTIENTS = dict([*fixture_quotients(), *random_quotients(6)])
 
 
 class TestEulerProduct:
@@ -82,6 +147,75 @@ class TestExpandQuotient:
         off_b, unit_b = PSI6_QUOT.offset(), PSI6_QUOT.unit(12)
         assert off_a == off_b
         assert unit_a.truncated(12).coeffs == unit_b.coeffs
+
+
+class TestUnitRecurrence:
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_equals_product_expansion(self, name):
+        eq = QUOTIENTS[name]
+        for prec in UNIT_PRECS:
+            got, want = eq.unit(prec), product_unit(eq, prec)
+            assert (got.valuation, got.coeffs, got.prec) == \
+                (want.valuation, want.coeffs, want.prec), prec
+
+    def test_no_series_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("unit made a kernel product")
+
+        monkeypatch.setattr(etaforms.series, "_convolve", refuse)
+        for eq in QUOTIENTS.values():
+            eq.unit(120)
+        get_level(10).weight_forms[4].combination.series(120)
+
+    def test_inexact_division_is_refused(self, monkeypatch):
+        # with sigma read as 1, 1, 0, 0, ..., 3 u_3 = 1 has no integer solution
+        monkeypatch.setattr(etaforms.eta, "_divisor_sums", lambda n: [0, 1, 1] + [0] * n)
+        with pytest.raises(IntegralityViolation):
+            EtaQuotient(1, {1: 1}).unit(4)
+
+    def test_divisor_sums(self):
+        assert etaforms.eta._divisor_sums(13) == [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28]
+
+
+class TestCombinationSums:
+    # a term below q^0 (offset -1), one at q^2 and one at q^7, at or past the
+    # shallower precisions, and a last term that cancels the first
+    COMB = EtaCombination([
+        EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8}, Fraction(1, 3)),
+        EtaQuotient(6, {1: 2, 6: 12, 2: -4, 3: -6}, Fraction(-5, 7)),
+        EtaQuotient(6, {1: 24, 6: 24}, Fraction(2, 5)),
+        EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8}, Fraction(-1, 3)),
+    ])
+
+    @pytest.mark.parametrize("prec", UNIT_PRECS[:-1] + (0, -3))
+    def test_eta_combination_equals_series_sum(self, prec):
+        got = self.COMB.series(prec)
+        want = sum_reference([(t.scalar, quotient_reference(t, prec)) for t in self.COMB.terms],
+                             prec)
+        assert (got.valuation, got.coeffs, got.prec) == (want.valuation, want.coeffs, want.prec)
+
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_fixture_weight_forms_equal_series_sum(self, n):
+        for form in get_level(n).weight_forms.values():
+            comb = form.combination
+            for prec in UNIT_PRECS:
+                got = comb.series(prec)
+                if isinstance(comb, E2Combination):
+                    parts = [(scale, eisenstein_weight2(t, prec)) for scale, t in comb.terms]
+                else:
+                    parts = [(t.scalar, quotient_reference(t, prec)) for t in comb.terms]
+                want = sum_reference(parts, prec)
+                assert (got.valuation, got.coeffs, got.prec) == \
+                    (want.valuation, want.coeffs, want.prec), prec
+
+    def test_e2_combination_with_fractions(self):
+        comb = E2Combination(((Fraction(1, 6), 2), (Fraction(-3, 4), 3), (Fraction(5), 9)))
+        for prec in (1, 2, 7, 40):
+            got = comb.series(prec)
+            want = sum_reference([(scale, eisenstein_weight2(t, prec)) for scale, t in comb.terms],
+                                 prec)
+            assert (got.valuation, got.coeffs, got.prec) == \
+                (want.valuation, want.coeffs, want.prec)
 
 
 class TestWeight:

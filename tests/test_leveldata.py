@@ -4,7 +4,8 @@ from functools import partial
 
 import pytest
 
-from etaforms.basis import BasisCache, _expand_first, _first_series
+from etaforms.basis import (BasisCache, _cusp_factor, _expand_cusp_factor, _expand_first,
+                            _first_series)
 from etaforms.errors import FractionalValuation, UnsupportedLevel
 from etaforms.eta import ligozat_order
 from etaforms.leveldata import (
@@ -163,6 +164,7 @@ def expansion_kinds(data):
     for p, aux in sorted(data.aux.items()):
         yield ("alt", p), partial(data.aux_alt_series, p), aux.alt.series
         yield ("cusp", p), partial(data.aux_cusp_series, p), aux.cusp.series
+    yield "cuspfactor", partial(_cusp_factor, data), partial(_expand_cusp_factor, data)
     for k, space in ((0, "M"), (2, "S"), (-2, "M"), (4, "S")):
         yield (("first", k, space), partial(_first_series, data, k, space),
                partial(_expand_first, data, k, space))

@@ -229,6 +229,39 @@ class TestUpLemma:
         with pytest.raises(ValueError):
             up_lemma_check(6, m_max=4, cache=cache)
 
+    def test_report_independent_of_cache_history(self, monkeypatch):
+        # a wrong image coefficient planted just past every image a cold cache
+        # gives is read only once the cache is deeper, unless the window is fixed
+        import etaforms.verify as verify
+        real_u_p = verify.u_p
+        cold_precs = []
+
+        def recording(s, p):
+            image = real_u_p(s, p)
+            cold_precs.append(image.prec)
+            return image
+
+        monkeypatch.setattr(verify, "u_p", recording)
+        up_lemma_check(12, m_max=8, zero_window=24, cache=BasisCache())
+        planted = max(cold_precs)
+
+        def wrong(s, p):
+            image = real_u_p(s, p)
+            return image + QSeries.monomial(1, planted, image.prec) if image.prec > planted else image
+
+        monkeypatch.setattr(verify, "u_p", wrong)
+        cache = BasisCache()
+        cold = up_lemma_check(12, m_max=8, zero_window=24, cache=cache).to_json()
+        cache.rows(12, 0, "M", range(1, 9), 4 * planted)
+        cache.rows(6, 0, "M", range(1, 5), 2 * planted)
+        deep = up_lemma_check(12, m_max=8, zero_window=24, cache=cache).to_json()
+        assert cold == deep and cold["passed"]
+
+        # the last exponent of the window is still compared, in both kinds of case
+        monkeypatch.setattr(verify, "u_p", lambda s, p: real_u_p(s, p) + QSeries.monomial(1, 23, 24))
+        report = up_lemma_check(12, m_max=8, zero_window=24, cache=cache)
+        assert [(m, t) for m, t, _, _ in report.counterexamples] == [(m, 23) for m in range(1, 9)]
+
 
 class TestAlIdentity:
     @pytest.mark.parametrize("n,p", [(6, 2), (6, 3), (10, 2)])
