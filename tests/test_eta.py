@@ -58,6 +58,7 @@ def sum_reference(parts, prec: int) -> QSeries:
 
 
 def quotient_reference(eq: EtaQuotient, prec: int) -> QSeries:
+    """The reference expansion of q^offset times the unit, without the scalar."""
     off = eq.integral_offset()
     if off >= prec:
         return QSeries.zero(prec)
