@@ -592,10 +592,6 @@ class BasisCache:
             fam = self.family(n, k, space, min_index=top, min_prec=need - max(top, -gap))
             return fam.rows(ms, precs)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._families.clear()
-
     # -- persistence ---------------------------------------------------------
 
     def _path(self, n: int, k: int, space: str) -> str:

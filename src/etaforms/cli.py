@@ -1,10 +1,12 @@
 """Command-line front end: expansions, verification suites, congruence scans.
 
-Exit codes form a contract for CI consumption:
+Exit codes form a contract for CI consumption; past argument parsing, a refusal
+prints one stderr line, and each package error carries its code as ``exit_code``:
 
 * 0 - success / all checks passed
 * 1 - a verification check failed
-* 2 - usage or argument validation error
+* 2 - usage or argument validation error, or an argument too large to
+      compute with
 * 3 - data-integrity alarm (fractional valuation, non-integral coefficient,
       falsified fixture sign)
 * 4 - insufficient precision (the minimum that would suffice is printed
@@ -24,18 +26,7 @@ import sys
 
 from . import __version__
 from .basis import BasisCache
-from .errors import (
-    EtaformsError,
-    FractionalValuation,
-    IndexBelowRange,
-    InsufficientPrecision,
-    IntegralityViolation,
-    MixedWeight,
-    NoConsistentSign,
-    PrecisionExceeded,
-    UnsupportedLevel,
-    UnsupportedPair,
-)
+from .errors import EtaformsError
 from .leveldata import SUPPORTED_LEVELS, validate_level
 
 FIXTURE_VERSION = 2
@@ -45,6 +36,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_PRECISION = 4
+_LABELS = {EXIT_INTEGRITY: "data integrity error", EXIT_PRECISION: "insufficient precision"}
 
 # The checks load on demand, in cmd_verify and cmd_scan.  Their names stay
 # attributes of this module, as perfbench/selftest.py reads them here.
@@ -57,11 +49,6 @@ def __getattr__(name):
         from . import verify
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-_USAGE_ERRORS = (UnsupportedLevel, UnsupportedPair, IndexBelowRange, ValueError)
-_INTEGRITY_ERRORS = (IntegralityViolation, FractionalValuation, MixedWeight, NoConsistentSign)
-_PRECISION_ERRORS = (InsufficientPrecision, PrecisionExceeded)
 
 
 def _document(command: str, params: dict, payload: dict, summary: dict) -> dict:
@@ -338,30 +325,21 @@ def main(argv=None) -> int:
     except SystemExit as err:
         # argparse uses exit 2 for usage errors and 0 for --help/--version
         return 0 if err.code in (0, None) else EXIT_USAGE
-    report = getattr(args, "report", None)
-    # refuse before any work, not after printing the whole report
-    if report and not os.path.isdir(os.path.dirname(report) or "."):
-        print(f"error: the directory of report {report} does not exist", file=sys.stderr)
-        return EXIT_USAGE
-    if report and os.path.isdir(report):
-        print(f"error: cannot write report {report}: Is a directory", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        report = getattr(args, "report", None)
+        # refuse before any work, not after printing the whole report
+        if report and not os.path.isdir(os.path.dirname(report) or "."):
+            raise ValueError(f"the directory of report {report} does not exist")
+        if report and os.path.isdir(report):
+            raise ValueError(f"cannot write report {report}: Is a directory")
         return args.fn(args)
-    except _INTEGRITY_ERRORS as err:
-        print(f"data integrity error: {err}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except _PRECISION_ERRORS as err:
+    except (EtaformsError, ValueError, OverflowError) as err:
+        # a ValueError or OverflowError (an argument too large to compute with) is usage
+        code = getattr(err, "exit_code", EXIT_USAGE)
         needed = getattr(err, "needed", None)
         hint = f" (needs precision >= {needed})" if needed else ""
-        print(f"insufficient precision: {err}{hint}", file=sys.stderr)
-        return EXIT_PRECISION
-    except _USAGE_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except EtaformsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+        print(f"{_LABELS.get(code, 'error')}: {err}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FractionalValuation, IntegralityViolation, InvalidCusp, MixedWeight
-from .series import QSeries, Record, deepest
+from .series import QSeries, Record
 
 
 def euler_product(prec: int) -> QSeries:
@@ -95,16 +95,13 @@ def _rational_sum(parts, prec: int) -> QSeries:
     return QSeries(lo, out, prec)
 
 
-_units: dict[int, QSeries] = {}
-
-
 def eta_unit(delta: int, prec: int) -> QSeries:
     """The unit part of eta(delta*z): euler_product with q -> q^delta."""
     if delta < 1:
         raise ValueError("eta dilation must be >= 1")
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    return deepest(_units, delta, prec, lambda p: euler_product(-(-p // delta)).dilated(delta))
+    return euler_product(-(-prec // delta)).dilated(delta).truncated(prec)
 
 
 class EtaQuotient(Record):

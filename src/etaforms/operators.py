@@ -13,7 +13,7 @@ from .series import QSeries
 
 def theta(s: QSeries) -> QSeries:
     """q d/dq: multiply the coefficient of q^n by n.  Precision preserved."""
-    return s.termwise(lambda n, c: n * c)
+    return QSeries(s.valuation, [n * c for n, c in enumerate(s.coeffs, s.valuation)], s.prec)
 
 
 def u_p(s: QSeries, p: int) -> QSeries:

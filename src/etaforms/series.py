@@ -321,10 +321,6 @@ class QSeries(Record):
             return self
         return QSeries(min(self.valuation, prec), self.coeffs[:max(prec - self.valuation, 0)], prec)
 
-    def termwise(self, fn) -> "QSeries":
-        """Map (exponent, coefficient) -> coefficient over known terms."""
-        return QSeries(self.valuation, [fn(self.valuation + i, c) for i, c in enumerate(self.coeffs)], self.prec)
-
     # ------------------------------------------------------------------
     # serialization and display
 

@@ -2,17 +2,19 @@
 
 import json
 import operator
+import re
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+from etaforms import verify
 from etaforms.basis import BasisCache, BasisElement, _Family
 from etaforms.cli import main
 from etaforms.errors import (InsufficientPrecision, IntegralityViolation, NoConsistentSign,
                              PrecisionExceeded)
-from etaforms.leveldata import SUPPORTED_LEVELS, LevelData, get_level
+from etaforms.leveldata import SUPPORTED_LEVELS, AuxData, LevelData, get_level
 from etaforms.series import QSeries
 from etaforms.verify import (
     CheckReport,
@@ -194,12 +196,32 @@ class TestGenfun:
         report = genfun_check(10, 4, m_max=5, z_prec=32, cache=cache)
         assert report.passed
 
+    def test_tampered_row_fails(self):
+        cache = BasisCache()
+        assert genfun_check(6, 0, m_max=5, z_prec=32, cache=cache).passed
+        tamper(cache._families[6, 0, "M"], 2, 3)
+        report = genfun_check(6, 0, m_max=5, z_prec=32, cache=cache)
+        assert not report.passed and report.counterexamples
+        assert "\n  counterexample: " in report.render_text()
+
 
 class TestTheta:
     @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
     def test_small_window(self, n, cache):
         report = theta_check(n, m_max=6, window=24, cache=cache)
         assert report.passed, report.render_text()
+
+    def test_planted_defect_fails(self, monkeypatch, capsys):
+        # theta(f_m) gains q^5, so each m disagrees with -m g_m there by one
+        plain = verify.theta
+        monkeypatch.setattr(verify, "theta", lambda s: plain(s) + QSeries.monomial(1, 5, s.prec))
+        report = theta_check(6, 2, cache=BasisCache())
+        assert not report.passed
+        assert [(m, t, got - want) for m, t, want, got in report.counterexamples] == [
+            (1, 5, 1), (2, 5, 1)]
+        assert main(["verify", "theta", "--level", "6", "--mmax", "2", "--no-cache-dir"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("theta: FAIL\n") and out.count("  counterexample: (") == 2
 
 
 class TestUpLemma:
@@ -308,6 +330,24 @@ class TestAlIdentity:
             al_identity_check(6, 2, r_set=[1], a_max=1, window=20, cache=BasisCache())
         assert rows_read == []
 
+    @pytest.mark.parametrize("flip, bump, message", [
+        (-1, 0, "recorded sign +1 fails while -1 works; fixture is stale"),
+        (1, 1, "no sign satisfies the identity for level 6, p=2")], ids=["sign", "scale"])
+    def test_stale_fixture_is_an_integrity_error(self, monkeypatch, capsys, flip, bump,
+                                                 message):
+        # the level-6 p = 2 record with its sign flipped or its scale one larger
+        data = get_level(6)
+        aux = data.aux[2]
+        stale = LevelData(data.N, data.hauptmodul_quotient, data.hauptmodul_shift,
+                          data.weight_forms, data.cusp_poly,
+                          {**data.aux, 2: AuxData(aux.p, aux.scale + bump, aux.sign * flip,
+                                                  aux.pole_cusp, aux.alt, aux.cusp)})
+        monkeypatch.setattr(verify, "get_level", lambda n: stale if n == 6 else get_level(n))
+        with pytest.raises(NoConsistentSign, match=f"^{re.escape(message)}$"):
+            al_identity_check(6, 2, r_set=[1], a_max=1, window=40, cache=BasisCache())
+        assert main(["verify", "al", "--level", "6", "--p", "2", "--no-cache-dir"]) == 3
+        assert capsys.readouterr() == ("", f"data integrity error: {message}\n")
+
     @pytest.mark.parametrize("n, p, shift", [(6, 2, -5), (6, 3, -5), (10, 2, 1)])
     def test_shift_decomposition_matches_peeling(self, n, p, shift, cache):
         # the reference: peel each row against the powers of alt itself
@@ -381,6 +421,20 @@ class TestCongruenceScan:
         assert report.details["failures"] == 0
         assert any(r.status == "no claim" for r in rows)       # diagonal rows
         assert all(r.m <= 40 and r.n <= 40 for r in rows)
+
+    def test_bound_above_every_valuation_fails(self, monkeypatch, capsys):
+        # claimed bound 40: every nonzero coefficient falls short of it
+        monkeypatch.setattr(verify, "congruence_bound", lambda n, p, a, b, r: (40, "planted"))
+        rows, report = congruence_scan(6, 2, 1, 1, n_cap=20, cache=BasisCache())
+        short = [row for row in rows if row.coeff]
+        assert len(short) > 20 and {row.status for row in short} == {"fail"}
+        assert {row.status for row in rows if not row.coeff} <= {"pass"}
+        assert not report.passed
+        assert report.details["failures"] == len(report.counterexamples) == len(short)
+        assert report.render_text().endswith(f"\n  ... {len(short) - 20} more")
+        argv = ["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1", "--ncap", "20"]
+        assert main([*argv, "--no-cache-dir"]) == 1
+        assert capsys.readouterr().out.startswith("congruence-scan: FAIL\n")
 
     def test_individual_valuation_bounds(self, cache):
         def vp(x, p):
