@@ -27,7 +27,7 @@ import sys
 from . import __version__
 from .basis import BasisCache
 from .errors import EtaformsError
-from .leveldata import SUPPORTED_LEVELS, validate_level
+from .leveldata import SUPPORTED_LEVELS
 
 FIXTURE_VERSION = 2
 
@@ -38,8 +38,9 @@ EXIT_INTEGRITY = 3
 EXIT_PRECISION = 4
 _LABELS = {EXIT_INTEGRITY: "data integrity error", EXIT_PRECISION: "insufficient precision"}
 
-# The checks load on demand, in cmd_verify and cmd_scan.  Their names stay
-# attributes of this module, as perfbench/selftest.py reads them here.
+# The checks load on demand, in cmd_verify and cmd_scan, as does the fixture
+# validation in cmd_validate.  The checks' names stay attributes of this
+# module, as perfbench/selftest.py reads them here.
 _VERIFY_NAMES = ("admissible_residues", "al_identity_check", "congruence_scan", "duality_check",
                  "genfun_check", "rows_to_csv", "theta_check", "up_lemma_check")
 
@@ -157,9 +158,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validate
     if args.prec < 1:
         raise ValueError("--prec must be positive")
-    report = validate_level(args.level, args.prec)
+    report = validate.validate_level(args.level, args.prec)
     doc = _document(
         "validate", {"level": args.level, "prec": args.prec},
         {"checks": report.to_json()["checks"]},
@@ -172,12 +174,15 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
+    if args.weight is not None and args.check not in ("duality", "genfun"):
+        raise ValueError(f"verify {args.check} takes no --weight")
+    weight = args.weight or 0
     cache = _resolve_cache(args)
     if args.check == "duality":
         nwindow = args.window * 2 if args.nwindow is None else args.nwindow
-        report = verify.duality_check(args.level, args.weight, args.window, nwindow, cache=cache)
+        report = verify.duality_check(args.level, weight, args.window, nwindow, cache=cache)
     elif args.check == "genfun":
-        report = verify.genfun_check(args.level, args.weight, args.mmax, args.zprec, cache=cache)
+        report = verify.genfun_check(args.level, weight, args.mmax, args.zprec, cache=cache)
     elif args.check == "theta":
         report = verify.theta_check(args.level, args.mmax, cache=cache)
     elif args.check == "uplemma":
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run an identity check")
     p_verify.add_argument("check", choices=("duality", "genfun", "theta", "uplemma", "al"))
     p_verify.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
-    p_verify.add_argument("--weight", type=int, default=0)
+    p_verify.add_argument("--weight", type=int)                  # duality and genfun; default 0
     p_verify.add_argument("--window", type=int, default=15, help="duality: max pole order")
     p_verify.add_argument("--nwindow", type=int, help="duality: max dual index (default 2 * window)")
     p_verify.add_argument("--mmax", type=int, default=10)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
+import sys
 from itertools import compress, count, islice
 from math import gcd
 
@@ -364,9 +365,13 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     params = {"level": n, "p": p, "r_set": r_set, "a_max": a_max}
     if a_max < 0 or not r_set:
         return CheckReport.vacuous("al-identity", params)
+    # p >= 2, so p^a_max is past sys.maxsize once a_max reaches its bit length
+    max_m = p ** min(a_max, sys.maxsize.bit_length()) * max(r_set)
+    if max_m > sys.maxsize:
+        raise ValueError(f"a_max (--amax) {a_max} is too large: {p}^{a_max} * {max(r_set)} "
+                         f"is past the largest index {sys.maxsize}")
     rows = []
     sign_works = {1: True, -1: True}
-    max_m = max(p ** a_max * r for r in r_set)
     prec = p * (window + 2)
     alt = data.aux_alt_series(p, prec + max_m + 8)
     if alt.valuation != -1 or alt.coeff(-1) != 1:
@@ -522,8 +527,11 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
     s_set = _residues(p, admissible_residues(p) if s_set is None else s_set)
     params = {"level": n, "p": p, "a_max": a_max, "b_max": b_max,
               "r_set": r_set, "s_set": s_set, "n_cap": n_cap}
-    m_values = sorted({p ** a * r for a in range(a_max + 1) for r in r_set if p ** a * r <= n_cap})
-    n_values = [(b, s, p ** b * s) for b in range(b_max + 1) for s in s_set if p ** b * s <= n_cap]
+    # p >= 2, so an exponent from n_cap's bit length on puts every index past the cap
+    a_range = range(min(a_max + 1, n_cap.bit_length()))
+    b_range = range(min(b_max + 1, n_cap.bit_length()))
+    m_values = sorted({p ** a * r for a in a_range for r in r_set if p ** a * r <= n_cap})
+    n_values = [(b, s, p ** b * s) for b in b_range for s in s_set if p ** b * s <= n_cap]
     if not m_values or not n_values:
         return [], CheckReport.vacuous("congruence-scan", params)
     # a(m, n) for n > m, n a pole order the scan builds anyway, is read from row n at
@@ -540,7 +548,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
     failures = 0
     zero_rows = 0
     sharpness: dict[str, int | None] = {}
-    for a in range(a_max + 1):
+    for a in a_range:
         for r in r_set:
             m = p ** a * r
             if m > n_cap:

@@ -576,6 +576,61 @@ def test_startup_loads_checks_only_on_demand():
     assert "etaforms.verify" in after_scan
 
 
+PUBLIC_NAMES = ["BasisCache", "BasisElement", "EtaCombination", "EtaQuotient", "QSeries",
+                "a_coeff", "b_coeff", "euler_product", "f_basis", "first_element", "g_basis",
+                "get_level", "ligozat_order", "parse_eta_quotient", "theta", "u_p",
+                "validate_level"]
+
+LAZY_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("etaforms."))
+import etaforms
+out = {"import": loaded()}
+from etaforms.leveldata import get_level
+for n in (6, 10, 12, 18):
+    get_level(n)
+out["fixtures"] = loaded()
+import etaforms.cli
+etaforms.cli.main(["expand", "--level", "6", "--weight", "0", "--m", "1", "--no-cache-dir"])
+etaforms.cli.main(["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1",
+                   "--ncap", "20", "--no-cache-dir"])
+out["commands"] = loaded()
+star = {}
+exec("from etaforms import *", star)
+out["star"] = sorted(name for name in star if name != "__builtins__")
+out["dir"] = dir(etaforms)
+out["owners"] = {name: getattr(etaforms, name).__module__ for name in etaforms.__all__}
+out["cached"] = all(name in vars(etaforms) for name in etaforms.__all__)
+from etaforms import basis
+out["basis"] = basis.BasisCache is etaforms.BasisCache and basis.f_basis(6, 0, 1).index == 1
+try:
+    etaforms.no_such_name
+except AttributeError as err:
+    out["unknown"] = str(err)
+print(json.dumps(out))
+"""
+
+
+def test_public_names_load_their_submodule_on_first_access():
+    # -S: no site packages, so only etaforms can import an etaforms module
+    src = os.path.dirname(os.path.dirname(etaforms.__file__))
+    result = subprocess.run([sys.executable, "-S", "-c", LAZY_PROBE],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["import"] == []
+    assert out["fixtures"] == ["etaforms.errors", "etaforms.eta", "etaforms.leveldata",
+                               "etaforms.series"]
+    assert "etaforms.verify" in out["commands"] and "etaforms.validate" not in out["commands"]
+    assert out["star"] == PUBLIC_NAMES == sorted(out["owners"])
+    assert set(PUBLIC_NAMES) <= set(out["dir"]) and out["cached"]
+    assert out["owners"]["validate_level"] == "etaforms.validate"
+    assert out["owners"]["get_level"] == "etaforms.leveldata"
+    assert out["basis"] is True
+    assert out["unknown"] == "module 'etaforms' has no attribute 'no_such_name'"
+
+
 def test_console_entry_point():
     # the child imports etaforms from where this process found it
     src = os.path.dirname(os.path.dirname(etaforms.__file__))

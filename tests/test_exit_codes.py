@@ -7,9 +7,10 @@ holds no traceback, that a refusal prints exactly one stderr line, and that a
 pass prints the same stdout as the command with --no-cache-dir (``cache``
 excepted: it prints the directory).
 
-Sizes stay tiny.  The one oversized value per command is 10^20, past every C
-index size, so it fails at once; a size between about 10^7 and 2^63 would try
-to allocate gigabytes instead, and is not here.  Neither are argparse's own
+Sizes stay tiny.  The oversized value is 10^20, past every C index size, so
+it fails at once, or as a scan exponent adds no index under the cap; a size
+between about 10^7 and 2^63 would try to allocate gigabytes instead, and is
+not here.  Neither are argparse's own
 refusals (an unknown choice, a value that is not an integer), which print its
 usage text, nor permission faults, which do not stop a test run as root.
 """
@@ -99,6 +100,7 @@ GRID = [
     (THETA, ["--mmax", "0"], 0, None),
     (THETA, ["--mmax", "-1"], 0, None),
     (THETA, ["--mmax", HUGE], 2, None),
+    (THETA, ["--weight", "3"], 2, None),                             # theta takes no weight
     (UPLEMMA, [], 0, None),
     (UPLEMMA, ["--mmax", "0"], 0, None),
     (UPLEMMA, ["--mmax", "-1"], 0, None),
@@ -106,6 +108,7 @@ GRID = [
     (UPLEMMA, ["--zero-window", "-1"], 2, None),
     (UPLEMMA, ["--level", "6"], 2, None),                            # levels 12 and 18 only
     (UPLEMMA, ["--zero-window", HUGE], 2, None),
+    (UPLEMMA, ["--weight", "0"], 2, None),
     (AL, [], 0, None),
     (AL, ["--amax", "0"], 0, None),
     (AL, ["--amax", "-1"], 0, None),
@@ -118,6 +121,8 @@ GRID = [
     (AL, ["--rset=-1"], 2, None),
     (AL, ["--rset", HUGE], 2, None),
     (AL, ["--amax", "100"], 2, None),                                # p^100 times a row
+    (AL, ["--amax", HUGE], 2, None),
+    (AL, ["--weight", "1"], 2, None),
     (SCAN, [], 0, None),
     (SCAN, ["--p", "7"], 2, None),
     (SCAN, ["--p", "0"], 2, None),
@@ -133,6 +138,8 @@ GRID = [
     (SCAN, ["--bmax", "-1"], 0, None),
     (SCAN, ["--require-weak"], 2, None),                             # (6, 2) has no weak case
     (SCAN, ["--ncap", HUGE], 0, None),
+    (SCAN, ["--amax", HUGE], 0, None),                               # no index past the cap
+    (SCAN, ["--bmax", HUGE], 0, None),
     (INFO, [], 0, None),
     (CLEAR, [], 0, None),
     (EXPAND, [], 0, cache_dir_is_a_file),
@@ -172,3 +179,14 @@ def test_exit_code_grid(capsys, tmp_path, command, extra, code, fault):
         assert len(err.splitlines()) == 1, err
     elif command[0] != "cache":
         assert run_cli(capsys, *argv, "--no-cache-dir") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, option", [
+    ((*AL, "--amax", HUGE), "--amax"),
+    ((*THETA, "--weight", "3"), "--weight"),
+    ((*UPLEMMA, "--weight", "0"), "--weight"),
+    ((*AL, "--weight", "1"), "--weight"),
+], ids=["al --amax", "theta --weight", "uplemma --weight", "al --weight"])
+def test_refusal_names_its_option(capsys, argv, option):
+    code, _, err = run_cli(capsys, *argv, "--no-cache-dir")
+    assert code == 2 and option in err

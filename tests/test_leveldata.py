@@ -13,8 +13,8 @@ from etaforms.leveldata import (
     LevelData,
     get_level,
     uncorrected_weight_form,
-    validate_level,
 )
+from etaforms.validate import validate_level
 from etaforms.verify import duality_check, theta_check
 
 

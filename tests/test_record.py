@@ -5,9 +5,9 @@ import pytest
 
 from etaforms.basis import BasisElement
 from etaforms.eta import EtaCombination, EtaQuotient
-from etaforms.leveldata import (AuxData, E2Combination, LevelData, ValidationCheck,
-                                ValidationReport, WeightForm)
+from etaforms.leveldata import AuxData, E2Combination, LevelData, WeightForm
 from etaforms.series import QSeries, Record
+from etaforms.validate import ValidationCheck, ValidationReport
 from etaforms.verify import CheckReport, ValuationRow
 
 PSI6 = EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8})

@@ -300,6 +300,14 @@ class TestAlIdentity:
         with pytest.raises(ValueError, match="^residue -1 is not positive$"):
             al_identity_check(6, 2, r_set=[-1], a_max=1, cache=cache)
 
+    @pytest.mark.parametrize("a_max", [38, 10 ** 20])
+    def test_refuses_an_index_past_maxsize(self, a_max):
+        # 3^38 * 7 > 2^63 - 1 >= 3^37 * 7; 3^(10^20) is never built
+        cache = BasisCache()
+        with pytest.raises(ValueError, match=r"^a_max \(--amax\) .* past the largest index"):
+            al_identity_check(6, 3, r_set=[1, 5, 7], a_max=a_max, cache=cache)
+        assert not cache._families              # refused before any row
+
     def test_shares_its_power_tables(self, monkeypatch):
         # rows are decomposed in alt by a polynomial shift and read one companion
         # table; a table per row and per sign costs 625 series products here,
@@ -435,6 +443,16 @@ class TestCongruenceScan:
         argv = ["scan", "--level", "6", "--p", "2", "--amax", "1", "--bmax", "1", "--ncap", "20"]
         assert main([*argv, "--no-cache-dir"]) == 1
         assert capsys.readouterr().out.startswith("congruence-scan: FAIL\n")
+
+    @pytest.mark.parametrize("huge", ["a_max", "b_max"])
+    def test_exponents_past_the_cap_add_no_rows(self, huge, cache):
+        # 2^4 <= 20 < 2^5: a_max or b_max 4 is the largest that reaches an index
+        def scan(exponent):
+            rows, report = congruence_scan(6, 2, **{"a_max": 1, "b_max": 1, huge: exponent},
+                                           n_cap=20, cache=cache)
+            assert report.params[huge] == exponent
+            return [row.csv_row() for row in rows]
+        assert scan(10 ** 20) == scan(4) != scan(3)
 
     def test_individual_valuation_bounds(self, cache):
         def vp(x, p):
