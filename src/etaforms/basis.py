@@ -13,11 +13,11 @@ weight 2-k in the other space.  Its z^m coefficient gives two recurrences:
 one on the polynomials P, and one on the rows themselves,
 f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, where
 psi = q^-1 + sum of c_j q^j.  Psi, first and g are all a family reads, once
-and as deep as its reach needs.  First, psi and g hold only integers at every
-supported level, so every row and every P does too, and a family whose
-inputs are not integral raises IntegralityViolation.  Both recurrences run
-on Kronecker-packed integers, one _Packed table each.  A caller names all
-the rows it needs in one request, and the planner serves it whichever way
+and as deep as its reach needs.  They hold only integers, as every series
+does (an input that is not integral is refused where it is expanded), so
+every row and every P does too.  Both recurrences run on Kronecker-packed
+integers, one _Packed table each.  A caller names all the rows it needs
+in one request, and the planner serves it whichever way
 makes fewer series products.  A run of consecutive indices continues the
 row recurrence from the first row not yet built, one product per new row
 (see _Family._recur).  Scattered rows, as a congruence scan reads, are
@@ -77,21 +77,10 @@ class BasisElement(Record):
     expansion: QSeries
     haupt_poly: tuple           # P, ascending; element = first M-space element * P(psi)
 
-    def coeff(self, n: int):
+    def coeff(self, n: int) -> int:
         return self.expansion.coeff(n)
 
-    def integer_coeff(self, n: int) -> int:
-        series = self.expansion
-        i = n - series.valuation
-        # a stored coefficient lies below prec; anything else goes through coeff
-        if 0 <= i < len(series.coeffs) and type(series.coeffs[i]) is int:
-            return series.coeffs[i]
-        c = series.coeff(n)
-        if not isinstance(c, int):
-            raise IntegralityViolation(
-                f"coefficient of q^{n} in ({self.level},{self.weight},{self.space},{self.index}) "
-                f"is {c}, not an integer")
-        return c
+    integer_coeff = coeff       # every coefficient is an int; the name is kept for callers
 
 
 def _gap(data: LevelData, k: int, space: str) -> int:
@@ -244,9 +233,8 @@ class _Family:
     def _inputs(self) -> None:
         """Read psi, first and g, the first element of weight 2-k in the other
         space, as deep as any row the reach allows, check them and derive what
-        the recurrences use.  IntegralityViolation refuses a coefficient that
-        is not an int, a first element without a unit pivot and a g off the
-        progression of psi and first."""
+        the recurrences use.  IntegralityViolation refuses a first element
+        without a unit pivot and a g off the progression of psi and first."""
         data, k = self.data, self.k
         psi = self._psi = data.hauptmodul_series(self.reach + 7)
         first = self._first = _first_series(data, k, self.space, self.reach + 8 - self.m0)
@@ -257,12 +245,6 @@ class _Family:
             dual = M_SPACE if self.space == S_SPACE else S_SPACE
             g = _first_series(data, 2 - k, dual, self.reach + max(self.m0, 8 + _gap(data, 2 - k, dual)))
         self._dual = g
-        for name, series in (("first", first), ("psi", psi), ("g", g)):
-            c = next((c for c in series.coeffs if type(c) is not int), 0)
-            if c:
-                raise IntegralityViolation(
-                    f"{name} of (level {data.N}, weight {k}, space {self.space}) "
-                    f"holds {c}, not an integer")
         self._check(self.m0, [first.coeff(self.gap)])
         s = self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
         # g_(m0+n) joins degree n + 1, so it vanishes unless s divides n + 1, as c_n does
@@ -711,11 +693,11 @@ def g_basis(n: int, k: int, m: int, prec: int | None = None,
 def a_coeff(n: int, k: int, m: int, a_n: int, cache: BasisCache | None = None) -> int:
     """Integer coefficient of q^a_n in the M-space element of pole order m."""
     elem = (cache or _default_cache).element(n, k, M_SPACE, m, prec=a_n + 1)
-    return elem.integer_coeff(a_n)
+    return elem.coeff(a_n)
 
 
 def b_coeff(n: int, k: int, m: int, a_n: int, cache: BasisCache | None = None) -> int:
     """Integer coefficient of q^a_n in the S-space element of pole order m."""
     elem = (cache or _default_cache).element(n, k, S_SPACE, m, prec=a_n + 1)
-    return elem.integer_coeff(a_n)
+    return elem.coeff(a_n)
 

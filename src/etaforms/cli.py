@@ -15,6 +15,7 @@ prints one stderr line, and each package error carries its code as ``exit_code``
 The basis cache directory is resolved from --cache-dir, then the
 ETAFORMS_CACHE_DIR environment variable, then the local default
 ``.etaforms_cache``; pass --no-cache-dir to keep everything in memory.
+``validate`` reads no basis and takes neither option.
 """
 
 from __future__ import annotations
@@ -142,8 +143,6 @@ def cmd_expand(args) -> int:
         if shown >= args.terms or args.prec is not None:
             break
         prec *= 2
-    for e, _ in series.terms():
-        elem.integer_coeff(e)
     text = series.pretty(max_terms=args.terms)
     doc = _document(
         "expand",
@@ -265,13 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_opts = argparse.ArgumentParser(add_help=False)
     cache_opts.add_argument("--cache-dir", help="basis cache directory")
     cache_opts.add_argument("--no-cache-dir", action="store_true", help="disable cache persistence")
-    common = argparse.ArgumentParser(add_help=False, parents=[cache_opts])
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--report", type=_json_report_path, help="write a JSON report file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--report", type=_json_report_path, help="write a JSON report file")
+    common = [cache_opts, output]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", parents=[common],
+    p_expand = sub.add_parser("expand", parents=common,
                               help="print the q-expansion of a basis element")
     p_expand.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_expand.add_argument("--weight", type=int, required=True)
@@ -281,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--prec", type=int, help="fixed working precision (>= 16)")
     p_expand.set_defaults(fn=cmd_expand)
 
-    p_validate = sub.add_parser("validate", parents=[common],
+    p_validate = sub.add_parser("validate", parents=[output],
                                 help="run the structural checks on one level's constants")
     p_validate.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_validate.add_argument("--prec", type=int, default=64)
     p_validate.set_defaults(fn=cmd_validate)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run an identity check")
+    p_verify = sub.add_parser("verify", parents=common, help="run an identity check")
     p_verify.add_argument("check", choices=("duality", "genfun", "theta", "uplemma", "al"))
     p_verify.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_verify.add_argument("--weight", type=int)                  # duality and genfun; default 0

@@ -81,7 +81,8 @@ def _rational_sum(parts, prec: int) -> QSeries:
 
     Each part's integer coefficients reach at most q^(prec - 1).  They are
     scaled by the part's scalar times L, the lcm of the scalars' denominators,
-    and added as integers; the sum is divided by L once.
+    and added as integers; the sum is divided by L once, and a coefficient
+    that L does not divide raises IntegralityViolation.
     """
     den = lcm(*[s.denominator for s, _, _ in parts])
     lo = min([prec] + [off for _, off, _ in parts])
@@ -91,7 +92,11 @@ def _rational_sum(parts, prec: int) -> QSeries:
         i = off - lo
         out[i:i + len(coeffs)] = [x + k * c for x, c in zip(out[i:], coeffs)]
     if den != 1:
-        out = [Fraction(x, den) if x % den else x // den for x in out]
+        bad = next((i for i, x in enumerate(out) if x % den), None)
+        if bad is not None:
+            raise IntegralityViolation(f"the coefficient of q^{lo + bad} is "
+                                       f"{Fraction(out[bad], den)}, not an integer")
+        out = [x // den for x in out]
     return QSeries(lo, out, prec)
 
 
@@ -191,16 +196,19 @@ class EtaQuotient(Record):
             raise FractionalValuation(format_eta_quotient(self), off)
         return int(off)
 
-    def series(self, prec: int) -> QSeries:
-        """Absolute expansion known through q^(prec-1).
+    def parts(self, prec: int) -> list:
+        """The quotient to O(q^prec) as ``_rational_sum`` parts: (scalar, offset,
+        the unit's coefficients), or none when the offset is at or past prec.
 
         Raises FractionalValuation when the offset is not an integer.
         """
         off = self.integral_offset()
-        rel = prec - off
-        if rel < 1:
-            return QSeries.zero(prec)
-        return self.unit(rel).shifted(off).scalar_mul(self.scalar)
+        return [(self.scalar, off, self.unit(prec - off).coeffs)] if off < prec else []
+
+    def series(self, prec: int) -> QSeries:
+        """Absolute expansion known through q^(prec-1); IntegralityViolation
+        when the scalar leaves a coefficient that is not an integer."""
+        return _rational_sum(self.parts(prec), prec)
 
     def __str__(self) -> str:
         return format_eta_quotient(self)
@@ -231,9 +239,7 @@ class EtaCombination(Record):
 
         Raises FractionalValuation for the first term whose offset is not an integer.
         """
-        offsets = [t.integral_offset() for t in self.terms]
-        return _rational_sum([(t.scalar, off, t.unit(prec - off).coeffs)
-                              for t, off in zip(self.terms, offsets) if off < prec], prec)
+        return _rational_sum([part for t in self.terms for part in t.parts(prec)], prec)
 
 
 def ligozat_order(eq: EtaQuotient, c: int) -> Fraction:

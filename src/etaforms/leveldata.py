@@ -73,7 +73,7 @@ class LevelData(Record):
 
     N: int
     hauptmodul_quotient: EtaQuotient
-    hauptmodul_shift: Fraction
+    hauptmodul_shift: int
     weight_forms: dict[int, WeightForm]
     cusp_poly: tuple[int, ...]          # ascending integer coefficients
     aux: dict[int, AuxData]
@@ -111,8 +111,9 @@ class LevelData(Record):
     # -- expansions (the deepest of each kind, truncated) -------------------
 
     def hauptmodul_series(self, prec: int) -> QSeries:
-        return deepest(self._expansions, "haupt", prec,
-                       lambda p: self.hauptmodul_quotient.series(p) + self.hauptmodul_shift)
+        # the shift is one more part of the sum: one that is not an integer is refused
+        return deepest(self._expansions, "haupt", prec, lambda p: _rational_sum(
+            [*self.hauptmodul_quotient.parts(p), (self.hauptmodul_shift, 0, (1,))], p))
 
     def weight_form_series(self, weight: int, prec: int) -> QSeries:
         return deepest(self._expansions, ("wform", weight), prec,
@@ -151,7 +152,7 @@ def _parse_fixture(text: str) -> dict:
     """Parse one fixture document into its raw pieces."""
     level = None
     hauptmodul = None
-    shift = Fraction(0)
+    shift = 0
     weight_forms: list[dict] = []
     cusp_poly = None
     aux_blocks: list[dict] = []
@@ -173,6 +174,8 @@ def _parse_fixture(text: str) -> dict:
                 if kv[0] != "shift" or len(kv) != 2:
                     raise ValueError(f"bad hauptmodul shift clause: {shift_text!r}")
                 shift = Fraction(kv[1])
+                # an int, as psi's coefficients are; psi refuses one that is not
+                shift = shift.numerator if shift.denominator == 1 else shift
             current = None
         elif head == "weightform":
             opts = dict(kv.split("=") for kv in rest.split())

@@ -1,16 +1,17 @@
-"""Exact truncated Laurent series in q over the rationals.
+"""Exact truncated Laurent series in q over the integers.
 
 A :class:`QSeries` stores coefficients for exponents ``valuation`` through
-``prec - 1``; exponents at or beyond ``prec`` are *unknown*, not zero.  All
-coefficients are exact: Python ints, or ``fractions.Fraction`` when a
-denominator survives.  No floating point is accepted anywhere.  The
-constructor normalizes only when some coefficient is not a plain int.
+``prec - 1``; exponents at or beyond ``prec`` are *unknown*, not zero.  Every
+coefficient is a Python int: the constructor maps ``operator.index`` over
+them only when some coefficient is not a plain int, so a bool becomes an int
+and a Fraction, float or str raises TypeError.  A rational combination is
+summed as integers where it is made (``eta._rational_sum``), and a remainder
+there raises IntegralityViolation.
 
-Every series product goes through one kernel, :func:`_convolve`: it clears
-denominators, packs each operand into one big integer by Kronecker
-substitution and multiplies once with CPython's big-integer product, so the
-result is exact and equals the schoolbook Cauchy product coefficient for
-coefficient.
+Every series product goes through one kernel, :func:`_convolve`: it packs
+each operand into one big integer by Kronecker substitution and multiplies
+once with CPython's big-integer product, so the result is exact and equals
+the schoolbook Cauchy product coefficient for coefficient.
 
 Series are immutable and all operations are pure, so values may be shared
 freely between threads.
@@ -18,41 +19,20 @@ freely between threads.
 
 from __future__ import annotations
 
+import operator
 import threading
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .errors import PrecisionExceeded, ZeroLeadingTerm
-
-Coeff = (int, Fraction)
-
-
-def normalize_coeff(value) -> Coeff:
-    """Coerce an exact number to the canonical int-or-Fraction form."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):        # bool and int subclasses
-        return int(value)
-    if isinstance(value, str):
-        # the inverse of str(): a plain integer parses as int, anything else as Fraction
-        try:
-            return int(value)
-        except ValueError:
-            return normalize_coeff(Fraction(value))
-    raise TypeError(f"exact coefficient expected, got {type(value).__name__}: {value!r}")
+from .errors import IntegralityViolation, PrecisionExceeded, ZeroLeadingTerm
 
 
 def parse_coeffs(values) -> list:
-    """``normalize_coeff`` of each value, as one ``int`` pass when every value
-    is a string that ``int`` reads, as a cache file's integers are."""
-    if {str}.issuperset(map(type, values)):
-        try:
-            return list(map(int, values))
-        except ValueError:
-            pass
-    return list(map(normalize_coeff, values))
+    """The ints spelled by ``values``, the integer strings of a cache file:
+    TypeError for an entry that is not a string, ValueError for one that does
+    not spell an integer."""
+    if not {str}.issuperset(map(type, values)):
+        raise TypeError("coefficients must be integer strings")
+    return list(map(int, values))
 
 
 class Record:
@@ -95,11 +75,11 @@ class QSeries(Record):
 
     __slots__ = ("valuation", "coeffs", "prec")
 
-    def __init__(self, valuation: int, coeffs: Iterable[Coeff], prec: int):
+    def __init__(self, valuation: int, coeffs: Iterable[int], prec: int):
         coeffs = tuple(coeffs)
         # one type scan: kernel output and truncations hold plain ints already
         if not {int}.issuperset(map(type, coeffs)):
-            coeffs = tuple(map(normalize_coeff, coeffs))
+            coeffs = tuple(map(operator.index, coeffs))
         # Canonical form: strip leading and trailing zeros; a series that is
         # zero to precision is stored as (valuation=prec, coeffs=()).
         lead = 0
@@ -152,7 +132,7 @@ class QSeries(Record):
     # ------------------------------------------------------------------
     # inspection
 
-    def coeff(self, n: int) -> Coeff:
+    def coeff(self, n: int) -> int:
         """Coefficient of q^n; zero in gaps, error at or beyond ``prec``."""
         if n >= self.prec:
             raise PrecisionExceeded(n, self.prec)
@@ -165,7 +145,7 @@ class QSeries(Record):
         """True when every known coefficient vanishes."""
         return not self.coeffs
 
-    def terms(self) -> Iterator[tuple[int, Coeff]]:
+    def terms(self) -> Iterator[tuple[int, int]]:
         """Iterate (exponent, coefficient) over nonzero stored terms."""
         for i, c in enumerate(self.coeffs):
             if c:
@@ -192,7 +172,7 @@ class QSeries(Record):
         return QSeries.zero(self.prec)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self._lift(other)
         if isinstance(other, QSeries):
             return self.agrees_with(other)
@@ -207,7 +187,7 @@ class QSeries(Record):
         return QSeries(self.valuation, [-c for c in self.coeffs], self.prec)
 
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self._lift(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -223,15 +203,14 @@ class QSeries(Record):
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
-        if not isinstance(other, (int, Fraction, QSeries)):
+        if not isinstance(other, (int, QSeries)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
 
-    def scalar_mul(self, scalar) -> "QSeries":
-        scalar = normalize_coeff(scalar)
+    def scalar_mul(self, scalar: int) -> "QSeries":
         if not scalar:
             return QSeries.zero(self.prec)
         if scalar == 1:
@@ -239,7 +218,7 @@ class QSeries(Record):
         return QSeries(self.valuation, [scalar * c for c in self.coeffs], self.prec)
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scalar_mul(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -272,8 +251,6 @@ class QSeries(Record):
             base = base * base
 
     def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scalar_mul(Fraction(1, 1) / other)
         if not isinstance(other, QSeries):
             return NotImplemented
         return self * other.reciprocal()
@@ -284,13 +261,18 @@ class QSeries(Record):
         Newton iteration (Brent and Kung, J. ACM 25 (1978)): when y holds the
         first k terms of 1/u, u y - 1 vanishes below q^k, and y - y (u y - 1)
         holds the first 2k.  Each step makes two kernel products, u y to 2k
-        terms and y times its terms from q^k on.
+        terms and y times its terms from q^k on.  The inverse is integral
+        exactly when the leading coefficient is 1 or -1, its own inverse;
+        any other raises IntegralityViolation.
         """
         if self.is_zero():
             raise ZeroLeadingTerm("cannot invert a series that is zero to precision")
         n_terms = self.prec - self.valuation
         u = self.coeffs
-        out = [normalize_coeff(Fraction(1, 1) / u[0])]
+        if u[0] not in (1, -1):
+            raise IntegralityViolation(f"cannot invert a series led by {u[0]}q^{self.valuation} "
+                                       f"over the integers: the leading coefficient is not 1 or -1")
+        out = [u[0]]
         while len(out) < n_terms:
             k = len(out)
             top = min(2 * k, n_terms)
@@ -416,14 +398,6 @@ def _progression(c) -> tuple[int | None, int]:
     return first, 1
 
 
-def _integral(c) -> tuple:
-    """(the integers c * L, L) for L the lcm of c's denominators; (c, 1) when c holds no Fraction."""
-    if Fraction not in set(map(type, c)):
-        return c, 1
-    den = lcm(*[x.denominator for x in c])
-    return [x.numerator * (den // x.denominator) for x in c], den
-
-
 def _slot_width(bits: int) -> int:
     """Bytes per Kronecker slot for values below 2^bits in magnitude: 8 W >= bits + 2."""
     return (bits + 9) // 8
@@ -474,11 +448,9 @@ def _convolve(a, b, out_len):
     ``a[fa::d]`` and ``b[fb::d]``, each cut to the n slots the output keeps,
     and scatters into ``out[fa+fb::d]``.
 
-    Denominators are cleared first: each operand is scaled by the lcm of its
-    own, and each output coefficient is divided once by the product of the two.
-    The integer slices are then multiplied by Kronecker substitution (Harvey,
-    J. Symb. Comput. 44 (2009), arXiv:0712.4046), in the one packed format
-    that ``_pack``, ``_low_slots`` and ``_decode`` share with the basis row
+    The slices are multiplied by Kronecker substitution (Harvey, J. Symb.
+    Comput. 44 (2009), arXiv:0712.4046), in the one packed format that
+    ``_pack``, ``_low_slots`` and ``_decode`` share with the basis row
     recurrence: each slice is packed into one big integer, one little-endian
     slot of W bytes per coefficient, biased by half = 2^(8W-1) so that every
     slot is nonnegative, and the bias is subtracted as one packed constant.
@@ -498,16 +470,13 @@ def _convolve(a, b, out_len):
     d = gcd(sa, sb) or 1        # two monomials: any step will do
     n = -(-(out_len - fa - fb) // d)
     square = a is b
-    a, da = _integral(a[fa::d][:n])
-    b, db = (a, da) if square else _integral(b[fb::d][:n])
+    a = a[fa::d][:n]
+    b = a if square else b[fb::d][:n]
     # an output coefficient is below 2^(bits(max|a|) + bits(max|b|) + bits(min(len a, len b)))
     width = _slot_width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                         + min(len(a), len(b)).bit_length())
     pa = _pack(a, width)
     prod = pa * (pa if square else _pack(b, width))
     bias = _bias(n, width)
-    sub = _decode(_low_slots(prod, n, width, bias), n, width, bias)
-    if da * db != 1:
-        sub = [normalize_coeff(Fraction(c, da * db)) for c in sub]
-    out[fa + fb::d] = sub
+    out[fa + fb::d] = _decode(_low_slots(prod, n, width, bias), n, width, bias)
     return out

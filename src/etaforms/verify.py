@@ -139,7 +139,7 @@ def duality_check(n: int, k: int, m_max: int, n_max: int | None = None,
             nn = g.index
             s = -f_lo - g_lo
             # a = f's coefficient of q^nn and b = g's of q^m: F[s] and G[s] for rows that start
-            # at q^-index; every other row reads them with the checks of integer_coeff
+            # at q^-index; every other row reads them by coeff, which checks the precision
             a, b = (F[s], G[s]) if f_ok and g_ok else _checked_pair(f, g)
             if a != -b:
                 bad.append((m, nn, a, -b))
@@ -167,22 +167,22 @@ def _support(row, reach: int) -> tuple:
     F[i] is the coefficient of q^(lo + i) for every exponent below the row's
     precision, lo the lower of -index and the valuation.  The row vanishes off
     F[0] and F[u:], u the index of the first nonzero coefficient after F[0],
-    read from the coefficients.  ok: the row starts at q^-index, holds only
-    integers and is known through q^reach.
+    read from the coefficients.  ok: the row starts at q^-index and is known
+    through q^reach.
     """
     e = row.expansion
     lo = min(-row.index, e.valuation)
     F = (0,) * (e.valuation - lo) + e.coeffs + (0,) * (e.prec - e.valuation - len(e.coeffs))
     u = next(compress(count(1), islice(F, 1, None)), len(F))
-    ok = lo == -row.index and e.prec > reach and {int}.issuperset(map(type, e.coeffs))
+    ok = lo == -row.index and e.prec > reach
     return F, lo, u, ok
 
 
 def _checked_pair(f, g) -> tuple:
-    """f's coefficient of q^(g's index) and g's of q^(f's index), each by integer_coeff,
+    """f's coefficient of q^(g's index) and g's of q^(f's index), each by coeff,
     after which the exponents that the constant term of f * g reads must be known."""
-    a = f.integer_coeff(g.index)
-    b = g.integer_coeff(f.index)
+    a = f.coeff(g.index)
+    b = g.coeff(f.index)
     fe, ge = f.expansion, g.expansion
     if fe.prec <= -ge.valuation or ge.prec <= -fe.valuation:
         raise InsufficientPrecision("product constant term not determined",
@@ -392,8 +392,6 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
             m = p ** a * r
             element = elements[m]
             coeffs = _shift_poly(element.haupt_poly, alt_shift)
-            if any(not isinstance(c, int) for c in coeffs):
-                raise NoConsistentSign(f"non-integral decomposition for element {m}")
             eps = (p - 1) if a else -1
             image = u_p(element.expansion, p)
             lhs = image.scalar_mul(p)
@@ -555,7 +553,7 @@ def congruence_scan(n: int, p: int, a_max: int, b_max: int, r_set=None, s_set=No
                 continue
             for b, s, nn in n_values:
                 row, t = source[m, nn]
-                coeff = elements[row].integer_coeff(t)
+                coeff = elements[row].coeff(t)
                 if row != m:
                     if m * coeff % nn:
                         raise IntegralityViolation(

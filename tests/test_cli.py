@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import etaforms
-from etaforms import basis
+from etaforms import basis, leveldata
 from etaforms.cli import main
+from etaforms.eta import EtaCombination, EtaQuotient
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +291,7 @@ class TestScan:
 
 class TestValidateAndCache:
     def test_validate(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--level", "18", "--no-cache-dir")
+        code, out, _ = run_cli(capsys, "validate", "--level", "18")
         assert code == 0
         assert "overall: pass" in out
 
@@ -424,6 +426,44 @@ class TestValidateAndCache:
         assert (code, out) == (3, "")
         assert err == ("data integrity error: P_11(psi) left q^0 uncancelled "
                        "for (level 6, weight 0, space M)\n")
+
+    @pytest.mark.parametrize("coeff", ["3/2", 7])
+    def test_non_integer_cache_coefficient_is_one_warning_and_recomputed(self, capsys, tmp_path,
+                                                                          coeff):
+        argv = ["expand", "--level", "6", "--weight", "0", "--m", "1", "--terms", "4"]
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[0] == 0
+        path = tmp_path / "basis_N6_k0_M.json"
+        doc = json.loads(path.read_text())
+        doc["elements"]["1"]["coeffs"][2] = coeff
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, "q^-1 + 6q + 4q^2 - 3q^3\n")
+        assert err.startswith("warning: ignoring unreadable cache file") and err.count("\n") == 1
+        assert json.loads(path.read_text())["elements"]["1"]["coeffs"][2] == "6"
+
+    @pytest.mark.parametrize("broken, argv, message", [
+        ("shift", ["expand", "--weight", "0", "--m", "1"], "q^0 is 1/2"),
+        ("shift", ["verify", "theta", "--mmax", "2"], "q^0 is 1/2"),
+        ("form", ["expand", "--weight", "2", "--m", "1"], "q^2 is 1/2"),
+        ("form", ["verify", "duality", "--weight", "2", "--window", "2"], "q^2 is 1/2"),
+    ])
+    def test_non_integral_fixture_is_an_integrity_error(self, capsys, monkeypatch, broken, argv,
+                                                        message):
+        # psi shifted by a half more, or the weight-2 form at half its scalar
+        good = leveldata.get_level(6)
+        forms = good.weight_forms
+        if broken == "form":
+            halved = EtaCombination([EtaQuotient(6, t.factors, t.scalar / 2)
+                                     for t in forms[2].combination.terms])
+            forms = {2: leveldata.WeightForm(2, 2, halved)}
+        shift = good.hauptmodul_shift + (Fraction(1, 2) if broken == "shift" else 0)
+        monkeypatch.setitem(leveldata._levels, 6, leveldata.LevelData(
+            6, good.hauptmodul_quotient, shift, forms, good.cusp_poly, good.aux))
+        code, out, err = run_cli(capsys, *argv, "--level", "6", "--no-cache-dir")
+        assert (code, out) == (3, "")
+        assert err == f"data integrity error: the coefficient of {message}, not an integer\n"
+        code, out, err = run_cli(capsys, "validate", "--level", "6")
+        assert (code, err) == (3, "") and "IntegralityViolation: the coefficient of" in out
 
     @pytest.mark.parametrize("name, family", [
         ("basis_N6_k2_M.json", ["--level", "6", "--weight", "2", "--m", "1"]),

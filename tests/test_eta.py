@@ -49,12 +49,23 @@ def product_unit(eq: EtaQuotient, prec: int) -> QSeries:
     return num * den.reciprocal()
 
 
-def sum_reference(parts, prec: int) -> QSeries:
-    """The sum of the (scalar, series) parts, each scaled and added as a QSeries."""
-    total = QSeries.zero(prec)
+def rational_terms(parts, prec: int) -> dict:
+    """{exponent: Fraction} of the sum of the (scalar, series) parts below q^prec,
+    each coefficient scaled and added on its own."""
+    terms = {}
     for scalar, series in parts:
-        total = total + series.scalar_mul(scalar)
-    return total
+        for e, c in series.terms():
+            if e < prec:
+                terms[e] = terms.get(e, 0) + Fraction(scalar) * c
+    return terms
+
+
+def sum_reference(parts, prec: int) -> QSeries:
+    """The sum of the (scalar, series) parts, added as Fractions, as the
+    integer series it must come to."""
+    terms = rational_terms(parts, prec)
+    assert all(c.denominator == 1 for c in terms.values()), terms
+    return QSeries.from_terms({e: int(c) for e, c in terms.items() if c}, prec)
 
 
 def quotient_reference(eq: EtaQuotient, prec: int) -> QSeries:
@@ -180,12 +191,14 @@ class TestUnitRecurrence:
 
 class TestCombinationSums:
     # a term below q^0 (offset -1), one at q^2 and one at q^7, at or past the
-    # shallower precisions, and a last term that cancels the first
+    # shallower precisions, each twice with fractional scalars that sum to an integer
     COMB = EtaCombination([
-        EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8}, Fraction(1, 3)),
+        EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8}, Fraction(4, 3)),
         EtaQuotient(6, {1: 2, 6: 12, 2: -4, 3: -6}, Fraction(-5, 7)),
         EtaQuotient(6, {1: 24, 6: 24}, Fraction(2, 5)),
         EtaQuotient(6, {2: 8, 3: 4, 1: -4, 6: -8}, Fraction(-1, 3)),
+        EtaQuotient(6, {1: 2, 6: 12, 2: -4, 3: -6}, Fraction(-9, 7)),
+        EtaQuotient(6, {1: 24, 6: 24}, Fraction(-7, 5)),
     ])
 
     @pytest.mark.parametrize("prec", UNIT_PRECS[:-1] + (0, -3))
@@ -210,13 +223,34 @@ class TestCombinationSums:
                     (want.valuation, want.coeffs, want.prec), prec
 
     def test_e2_combination_with_fractions(self):
-        comb = E2Combination(((Fraction(1, 6), 2), (Fraction(-3, 4), 3), (Fraction(5), 9)))
+        # (1 - t) times each scale is an integer, and so is 24 times it
+        comb = E2Combination(((Fraction(1, 6), 7), (Fraction(-3, 4), 5), (Fraction(5), 9)))
         for prec in (1, 2, 7, 40):
             got = comb.series(prec)
             want = sum_reference([(scale, eisenstein_weight2(t, prec)) for scale, t in comb.terms],
                                  prec)
             assert (got.valuation, got.coeffs, got.prec) == \
                 (want.valuation, want.coeffs, want.prec)
+        # here the constant terms sum to -1/6 + 3/2 - 40
+        comb = E2Combination(((Fraction(1, 6), 2), (Fraction(-3, 4), 3), (Fraction(5), 9)))
+        with pytest.raises(IntegralityViolation, match=r"q\^0 is -116/3, not an integer"):
+            comb.series(7)
+
+    @pytest.mark.parametrize("scalars", [
+        (Fraction(1, 3),), (1, Fraction(1, 2)), (Fraction(3, 4), Fraction(-1, 4), Fraction(1, 5))])
+    def test_non_integral_sum_is_refused_at_its_first_fraction(self, scalars):
+        # COMB's quotients start at q^-1, q^2 and q^7
+        comb = EtaCombination([EtaQuotient(6, t.factors, c)
+                               for t, c in zip(self.COMB.terms, scalars)])
+        terms = rational_terms([(t.scalar, quotient_reference(t, 9)) for t in comb.terms], 9)
+        e, c = min((e, c) for e, c in terms.items() if c.denominator != 1)
+        message = rf"the coefficient of q\^{e} is {c}, not an integer"
+        with pytest.raises(IntegralityViolation, match=message) as err:
+            comb.series(9)
+        assert err.value.exit_code == 3
+        if len(comb.terms) == 1:
+            with pytest.raises(IntegralityViolation, match=message):
+                comb.terms[0].series(9)
 
 
 class TestWeight:

@@ -10,9 +10,10 @@ excepted: it prints the directory).
 Sizes stay tiny.  The oversized value is 10^20, past every C index size, so
 it fails at once, or as a scan exponent adds no index under the cap; a size
 between about 10^7 and 2^63 would try to allocate gigabytes instead, and is
-not here.  Neither are argparse's own
-refusals (an unknown choice, a value that is not an integer), which print its
-usage text, nor permission faults, which do not stop a test run as root.
+not here.  Nor are permission faults, which do not stop a test run as root.
+argparse's own refusals print its usage text before their error line, so
+they have a grid of their own: so far the cache options, which validate,
+reading no basis, does not declare.
 """
 
 import os
@@ -172,13 +173,34 @@ def row_id(row):
 def test_exit_code_grid(capsys, tmp_path, command, extra, code, fault):
     cache_dir = tmp_path / "cache"
     argv = [*command, *extra, *(fault(tmp_path, cache_dir) if fault else [])]
-    got, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    reads_cache = command[0] != "validate"
+    got, out, err = run_cli(capsys, *argv, *(["--cache-dir", str(cache_dir)] if reads_cache else []))
     assert got == code, err
     assert "Traceback" not in err
     if code:
         assert len(err.splitlines()) == 1, err
-    elif command[0] != "cache":
+    elif reads_cache and command[0] != "cache":
         assert run_cli(capsys, *argv, "--no-cache-dir") == (0, out, "")
+
+
+# (command, an option it does not declare, its value or None)
+USAGE_GRID = [
+    (VALIDATE, "--cache-dir", "x"),
+    (VALIDATE, "--no-cache-dir", None),
+]
+
+
+@pytest.mark.parametrize("command, option, value", USAGE_GRID,
+                         ids=[f"{row[0][0]} {row[1]}" for row in USAGE_GRID])
+def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value):
+    monkeypatch.chdir(tmp_path)
+    extra = [option, *([value] if value else [])]
+    got, out, err = run_cli(capsys, *command, *extra)
+    lines = err.splitlines()
+    assert (got, out) == (2, ""), err
+    assert "Traceback" not in err and lines[0].startswith("usage: etaforms ")
+    assert lines[-1] == f"etaforms: error: unrecognized arguments: {' '.join(extra)}"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, option", [

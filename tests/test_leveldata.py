@@ -1,16 +1,20 @@
 """Tests for the per-level constant registry."""
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from etaforms.basis import (BasisCache, _cusp_factor, _expand_cusp_factor, _expand_first,
                             _first_series)
-from etaforms.errors import FractionalValuation, UnsupportedLevel
-from etaforms.eta import ligozat_order
+from etaforms.errors import FractionalValuation, IntegralityViolation, UnsupportedLevel
+from etaforms.eta import EtaCombination, EtaQuotient, ligozat_order
 from etaforms.leveldata import (
     SUPPORTED_LEVELS,
     LevelData,
+    WeightForm,
+    _fixture_text,
+    _parse_fixture,
     get_level,
     uncorrected_weight_form,
 )
@@ -146,6 +150,38 @@ class TestValidation:
         assert not report.ok
         failing = [c for c in report.checks if not c.passed]
         assert any("FractionalValuation" in c.detail for c in failing)
+
+    def test_validate_reports_non_integral_combination_as_failure(self):
+        # level 6's weight-2 form at half its scalar leads with q^2 / 2
+        good = get_level(6)
+        halved = EtaCombination([EtaQuotient(6, t.factors, t.scalar / 2)
+                                 for t in good.weight_forms[2].combination.terms])
+        broken = LevelData(good.N, good.hauptmodul_quotient, good.hauptmodul_shift,
+                           {2: WeightForm(2, 2, halved)}, good.cusp_poly, good.aux)
+        with pytest.raises(IntegralityViolation, match=r"q\^2 is 1/2, not an integer"):
+            broken.weight_form_series(2, 8)
+        report = validate_level(6, 32, data=broken)
+        failing = [(c.name, c.detail) for c in report.checks if not c.passed]
+        assert failing == [("weight-2 form is q^2 + O(q^3), integral",
+                            "IntegralityViolation: the coefficient of q^2 is 1/2, not an integer")]
+
+    def test_shift_is_parsed_as_an_int_and_a_fractional_one_refused_with_psi(self):
+        assert [type(get_level(n).hauptmodul_shift) for n in SUPPORTED_LEVELS] == [int] * 4
+        assert get_level(6).hauptmodul_shift == -4
+        text = _fixture_text("level06.txt").replace("| shift -4", "| shift -7/2")
+        good = get_level(6)
+        shift = _parse_fixture(text)["shift"]
+        assert shift == Fraction(-7, 2)
+        broken = LevelData(good.N, good.hauptmodul_quotient, shift, good.weight_forms,
+                           good.cusp_poly, good.aux)
+        # the bare quotient's constant term is 4
+        with pytest.raises(IntegralityViolation, match=r"q\^0 is 1/2, not an integer"):
+            broken.hauptmodul_series(8)
+        report = validate_level(6, 32, data=broken)
+        failing = [c for c in report.checks if not c.passed]
+        assert failing[0].name == "hauptmodul is q^-1 + O(q) with integer coefficients"
+        assert all(c.detail == "IntegralityViolation: the coefficient of q^0 is 1/2, not an integer"
+                   for c in failing)
 
     def test_report_serializes(self):
         report = validate_level(6, 32)

@@ -5,7 +5,6 @@ import operator
 import re
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 
@@ -139,13 +138,11 @@ class TestDualityOverlap:
         ("f", 3, -3, 0, False), ("g", 4, -4, 0, False),                # the pivot gone
         ("f", 3, -1, None, False), ("g", 4, -2, None, False),          # in the gap
         ("f", 2, 0, None, True),
-        ("f", 3, -1, Fraction(1, 3), False), ("g", 4, -2, Fraction(1, 2), False),
         ("f", 2, 5, None, False), ("g", 3, 2, None, False),            # in the tail
-        ("f", 2, 20, None, True), ("g", 3, 15, Fraction(1, 2), True),
+        ("f", 2, 20, None, True),
         ("f", 2, -4, 1, False), ("g", 3, -5, 1, False),                # below the pole
     ], ids=["f-pivot", "g-pivot", "f-no-pivot", "g-no-pivot", "f-gap", "g-gap", "f-gap-unpaired",
-            "f-gap-fraction", "g-gap-fraction", "f-tail", "g-tail", "f-tail-unread",
-            "g-tail-fraction-unread", "f-below", "g-below"])
+            "f-tail", "g-tail", "f-tail-unread", "f-below", "g-below"])
     def test_tampered_row_matches_reference(self, side, row, exponent, value, passes):
         cache = BasisCache()
         duality_check(6, 0, 6, 9, cache=cache)
@@ -158,10 +155,8 @@ class TestDualityOverlap:
     @pytest.mark.parametrize("side, row, exponent, value, prec, error", [
         ("f", 3, None, None, 5, PrecisionExceeded),
         ("g", 4, None, None, 2, PrecisionExceeded),
-        ("f", 3, 5, Fraction(1, 2), None, IntegralityViolation),
-        ("g", 4, 3, Fraction(3, 2), None, IntegralityViolation),
         ("g", 3, -30, 1, None, InsufficientPrecision),
-    ], ids=["f-short", "g-short", "f-fraction", "g-fraction", "g-below-past-f"])
+    ], ids=["f-short", "g-short", "g-below-past-f"])
     def test_unreadable_row_raises_as_the_reference(self, side, row, exponent, value, prec,
                                                     error):
         outcomes = []
@@ -283,6 +278,25 @@ class TestUpLemma:
         monkeypatch.setattr(verify, "u_p", lambda s, p: real_u_p(s, p) + QSeries.monomial(1, 23, 24))
         report = up_lemma_check(12, m_max=8, zero_window=24, cache=cache)
         assert [(m, t) for m, t, _, _ in report.counterexamples] == [(m, 23) for m in range(1, 9)]
+
+
+    def test_zero_case_counterexample_is_its_first_term(self, monkeypatch):
+        # U_2 f_m vanishes for odd m; planted terms make the images of f_1 and f_5 nonzero,
+        # and each is reported as (m, exponent, 0 expected, coefficient found) at its first term
+        import etaforms.verify as verify
+        real_u_p = verify.u_p
+        planted = {1: {3: 5}, 5: {-2: -7, 4: 9}}
+
+        def wrong(s, p):
+            image = real_u_p(s, p)
+            for e, c in planted.get(-s.valuation, {}).items():
+                image = image + QSeries.monomial(c, e, image.prec)
+            return image
+
+        monkeypatch.setattr(verify, "u_p", wrong)
+        report = up_lemma_check(12, m_max=8, zero_window=24, cache=BasisCache())
+        assert report.counterexamples == [(1, 3, 0, 5), (5, -2, 0, -7)]
+        assert not report.passed and report.details == {"mapped_cases": 4, "zero_cases": 4}
 
 
 class TestAlIdentity:
