@@ -280,11 +280,11 @@ class _Family:
         return None if new_rows <= cost(b) else b
 
     def _stored(self, d: int) -> QSeries | None:
-        """The stored row of degree d, if it has the family's precision and integer coefficients."""
+        """The stored row of degree d, if it has the family's precision and pole order
+        (its coefficients are ints, as every QSeries' are)."""
         m = self.m0 + d
         e = self.elements.get(m)
-        if e and e.expansion.prec == self.reach + 8 - m and e.expansion.valuation == -m \
-                and {int}.issuperset(map(type, e.expansion.coeffs)):
+        if e and e.expansion.prec == self.reach + 8 - m and e.expansion.valuation == -m:
             return e.expansion
         return None
 

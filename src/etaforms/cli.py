@@ -15,7 +15,8 @@ prints one stderr line, and each package error carries its code as ``exit_code``
 The basis cache directory is resolved from --cache-dir, then the
 ETAFORMS_CACHE_DIR environment variable, then the local default
 ``.etaforms_cache``; pass --no-cache-dir to keep everything in memory.
-``validate`` reads no basis and takes neither option.
+Each command, and each ``verify`` check, declares only the options it reads;
+any other is argparse's usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -134,10 +135,9 @@ def cmd_expand(args) -> int:
     if args.terms < 1:
         raise ValueError("--terms must be positive")
     cache = _resolve_cache(args)
-    space = "S" if args.space == "S" else "M"
     prec = args.prec if args.prec is not None else max(16, args.m + 2 * args.terms + 16)
     for _ in range(6):
-        elem = cache.element(args.level, args.weight, space, args.m, prec=prec)
+        elem = cache.element(args.level, args.weight, args.space, args.m, prec=prec)
         series = elem.expansion.truncated(prec)
         shown = sum(1 for _ in series.terms())
         if shown >= args.terms or args.prec is not None:
@@ -146,7 +146,7 @@ def cmd_expand(args) -> int:
     text = series.pretty(max_terms=args.terms)
     doc = _document(
         "expand",
-        {"level": args.level, "weight": args.weight, "space": space,
+        {"level": args.level, "weight": args.weight, "space": args.space,
          "m": args.m, "terms": args.terms, "prec": prec},
         {"coeffs": series.to_json()},
         {"pass": True, "failures": 0, "precision": prec},
@@ -173,24 +173,8 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    if args.weight is not None and args.check not in ("duality", "genfun"):
-        raise ValueError(f"verify {args.check} takes no --weight")
-    weight = args.weight or 0
     cache = _resolve_cache(args)
-    if args.check == "duality":
-        nwindow = args.window * 2 if args.nwindow is None else args.nwindow
-        report = verify.duality_check(args.level, weight, args.window, nwindow, cache=cache)
-    elif args.check == "genfun":
-        report = verify.genfun_check(args.level, weight, args.mmax, args.zprec, cache=cache)
-    elif args.check == "theta":
-        report = verify.theta_check(args.level, args.mmax, cache=cache)
-    elif args.check == "uplemma":
-        report = verify.up_lemma_check(args.level, args.mmax, args.zero_window, cache=cache)
-    elif args.check == "al":
-        r_set = [1, 5, 7] if args.rset is None else _parse_int_list(args.rset)
-        report = verify.al_identity_check(args.level, args.p, r_set, args.amax, cache=cache)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown check {args.check}")
+    report = args.run(verify, args, cache)
     doc = _document(
         f"verify {args.check}", report.params,
         {"report": report.to_json()},
@@ -207,10 +191,8 @@ def cmd_scan(args) -> int:
     if args.require_weak and (args.level, args.p) not in ((18, 2), (12, 3)):
         raise ValueError(f"no weak congruence case for level {args.level}, p = {args.p}")
     cache = _resolve_cache(args)
-    r_set = None if args.rset is None else _parse_int_list(args.rset)
-    s_set = None if args.sset is None else _parse_int_list(args.sset)
-    rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax,
-                                          r_set=r_set, s_set=s_set, n_cap=args.ncap, cache=cache)
+    rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax, r_set=args.rset,
+                                          s_set=args.sset, n_cap=args.ncap, cache=cache)
     if args.require_weak:
         side = 3 if args.level == 18 else 2
         rows = [row for row in rows if row.r % side]
@@ -252,8 +234,9 @@ def cmd_cache(args) -> int:
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # one declaration per command and check; no abbreviations, or expand would read --p as --prec
     parser = argparse.ArgumentParser(
-        prog="etaforms",
+        prog="etaforms", allow_abbrev=False,
         description="Exact canonical bases of weakly holomorphic modular forms "
                     "for levels 6, 10, 12, 18: expansions, identity verification, "
                     "congruence scans.",
@@ -261,65 +244,77 @@ def build_parser() -> argparse.ArgumentParser:
                "then ./.etaforms_cache (use --no-cache-dir for memory only).",
     )
     parser.add_argument("--version", action="version", version=f"etaforms {__version__}")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     cache_opts = argparse.ArgumentParser(add_help=False)
     cache_opts.add_argument("--cache-dir", help="basis cache directory")
     cache_opts.add_argument("--no-cache-dir", action="store_true", help="disable cache persistence")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
     output.add_argument("--report", type=_json_report_path, help="write a JSON report file")
-    common = [cache_opts, output]
+    common = [level, cache_opts, output]
+
+    def command(subparsers, name, help, parents=common, **defaults):
+        p = subparsers.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+        p.set_defaults(**defaults)
+        return p
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", parents=common,
-                              help="print the q-expansion of a basis element")
-    p_expand.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
+    p_expand = command(sub, "expand", "print the q-expansion of a basis element", fn=cmd_expand)
     p_expand.add_argument("--weight", type=int, required=True)
     p_expand.add_argument("--space", choices=("M", "S"), default="M")
     p_expand.add_argument("--m", type=int, required=True, help="pole order at infinity")
     p_expand.add_argument("--terms", type=int, default=8, help="nonzero terms to print")
     p_expand.add_argument("--prec", type=int, help="fixed working precision (>= 16)")
-    p_expand.set_defaults(fn=cmd_expand)
 
-    p_validate = sub.add_parser("validate", parents=[output],
-                                help="run the structural checks on one level's constants")
-    p_validate.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
+    p_validate = command(sub, "validate", "run the structural checks on one level's constants",
+                         [level, output], fn=cmd_validate)
     p_validate.add_argument("--prec", type=int, default=64)
-    p_validate.set_defaults(fn=cmd_validate)
 
-    p_verify = sub.add_parser("verify", parents=common, help="run an identity check")
-    p_verify.add_argument("check", choices=("duality", "genfun", "theta", "uplemma", "al"))
-    p_verify.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
-    p_verify.add_argument("--weight", type=int)                  # duality and genfun; default 0
-    p_verify.add_argument("--window", type=int, default=15, help="duality: max pole order")
-    p_verify.add_argument("--nwindow", type=int, help="duality: max dual index (default 2 * window)")
-    p_verify.add_argument("--mmax", type=int, default=10)
-    p_verify.add_argument("--zprec", type=int, default=32)
-    p_verify.add_argument("--zero-window", type=int, default=40)
-    p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--rset", help="comma-separated residues for the al check")
-    p_verify.add_argument("--amax", type=int, default=2)
-    p_verify.set_defaults(fn=cmd_verify)
+    # a check's function is read from the verify module (v) at call time: a tracer may wrap it
+    checks = command(sub, "verify", "run an identity check", [], fn=cmd_verify) \
+        .add_subparsers(dest="check", required=True)
+    p_duality = command(checks, "duality", "Zagier duality", run=lambda v, a, c: v.duality_check(
+        a.level, a.weight, a.window, a.window * 2 if a.nwindow is None else a.nwindow, cache=c))
+    p_duality.add_argument("--weight", type=int, default=0)
+    p_duality.add_argument("--window", type=int, default=15, help="max pole order")
+    p_duality.add_argument("--nwindow", type=int, help="max dual index (default 2 * window)")
+    p_genfun = command(checks, "genfun", "the generating function", run=lambda v, a, c:
+                       v.genfun_check(a.level, a.weight, a.mmax, a.zprec, cache=c))
+    p_genfun.add_argument("--weight", type=int, default=0)
+    p_genfun.add_argument("--mmax", type=int, default=10)
+    p_genfun.add_argument("--zprec", type=int, default=32)
+    p_theta = command(checks, "theta", "the theta relation", run=lambda v, a, c:
+                      v.theta_check(a.level, a.mmax, cache=c))
+    p_theta.add_argument("--mmax", type=int, default=10)
+    p_uplemma = command(checks, "uplemma", "index-lowering by u_p", run=lambda v, a, c:
+                        v.up_lemma_check(a.level, a.mmax, a.zero_window, cache=c))
+    p_uplemma.add_argument("--mmax", type=int, default=10)
+    p_uplemma.add_argument("--zero-window", type=int, default=40)
+    p_al = command(checks, "al", "the Atkin-Lehner identity", run=lambda v, a, c:
+                   v.al_identity_check(a.level, a.p, a.rset, a.amax, cache=c))
+    p_al.add_argument("--p", type=int, default=2)
+    p_al.add_argument("--rset", type=_parse_int_list, default="1,5,7",
+                      help="comma-separated residues")
+    p_al.add_argument("--amax", type=int, default=2)
 
-    p_scan = sub.add_parser("scan", parents=[cache_opts], help="congruence valuation scan")
+    p_scan = command(sub, "scan", "congruence valuation scan", [level, cache_opts], fn=cmd_scan)
     p_scan.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_scan.add_argument("--report", help="write a JSON or CSV report file")
-    p_scan.add_argument("--level", type=int, required=True, choices=SUPPORTED_LEVELS)
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--amax", type=int, default=4)
     p_scan.add_argument("--bmax", type=int, default=4)
-    p_scan.add_argument("--rset", help="comma-separated residues (default: first three admissible)")
-    p_scan.add_argument("--sset", help="comma-separated residues (default: first three admissible)")
+    residues = "comma-separated residues (default: first three admissible)"
+    p_scan.add_argument("--rset", type=_parse_int_list, help=residues)
+    p_scan.add_argument("--sset", type=_parse_int_list, help=residues)
     p_scan.add_argument("--ncap", type=int, default=400, help="cap on both coefficient indices")
     p_scan.add_argument("--require-weak", action="store_true",
                         help="restrict to rows where only the weak bounds apply "
                              "(levels 18/p=2 and 12/p=3)")
-    p_scan.set_defaults(fn=cmd_scan)
 
-    p_cache = sub.add_parser("cache", parents=[cache_opts], help="inspect or clear the basis cache")
+    p_cache = command(sub, "cache", "inspect or clear the basis cache", [cache_opts], fn=cmd_cache)
     p_cache.add_argument("action", choices=("info", "clear"))
-    p_cache.set_defaults(fn=cmd_cache)
-
     return parser
 
 
@@ -343,6 +338,9 @@ def main(argv=None) -> int:
         code = getattr(err, "exit_code", EXIT_USAGE)
         needed = getattr(err, "needed", None)
         hint = f" (needs precision >= {needed})" if needed else ""
+        if isinstance(err, OverflowError):      # name each argument past every index
+            hint = "".join(f" (--{name.replace('_', '-')} {value} is too large)" for name, value
+                           in vars(args).items() if type(value) is int and abs(value) > sys.maxsize)
         print(f"{_LABELS.get(code, 'error')}: {err}{hint}", file=sys.stderr)
         return code
 

@@ -368,8 +368,8 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
     # p >= 2, so p^a_max is past sys.maxsize once a_max reaches its bit length
     max_m = p ** min(a_max, sys.maxsize.bit_length()) * max(r_set)
     if max_m > sys.maxsize:
-        raise ValueError(f"a_max (--amax) {a_max} is too large: {p}^{a_max} * {max(r_set)} "
-                         f"is past the largest index {sys.maxsize}")
+        raise ValueError(f"a_max (--amax) {a_max} with residue (--rset) {max(r_set)} is too large: "
+                         f"{p}^{a_max} * {max(r_set)} is past the largest index {sys.maxsize}")
     rows = []
     sign_works = {1: True, -1: True}
     prec = p * (window + 2)

@@ -12,8 +12,9 @@ it fails at once, or as a scan exponent adds no index under the cap; a size
 between about 10^7 and 2^63 would try to allocate gigabytes instead, and is
 not here.  Nor are permission faults, which do not stop a test run as root.
 argparse's own refusals print its usage text before their error line, so
-they have a grid of their own: so far the cache options, which validate,
-reading no basis, does not declare.
+they have a grid of their own: each command and each verify check declares
+only the options it reads, and refuses another's, as validate, reading no
+basis, refuses the cache options.
 """
 
 import os
@@ -101,7 +102,6 @@ GRID = [
     (THETA, ["--mmax", "0"], 0, None),
     (THETA, ["--mmax", "-1"], 0, None),
     (THETA, ["--mmax", HUGE], 2, None),
-    (THETA, ["--weight", "3"], 2, None),                             # theta takes no weight
     (UPLEMMA, [], 0, None),
     (UPLEMMA, ["--mmax", "0"], 0, None),
     (UPLEMMA, ["--mmax", "-1"], 0, None),
@@ -109,7 +109,6 @@ GRID = [
     (UPLEMMA, ["--zero-window", "-1"], 2, None),
     (UPLEMMA, ["--level", "6"], 2, None),                            # levels 12 and 18 only
     (UPLEMMA, ["--zero-window", HUGE], 2, None),
-    (UPLEMMA, ["--weight", "0"], 2, None),
     (AL, [], 0, None),
     (AL, ["--amax", "0"], 0, None),
     (AL, ["--amax", "-1"], 0, None),
@@ -123,7 +122,6 @@ GRID = [
     (AL, ["--rset", HUGE], 2, None),
     (AL, ["--amax", "100"], 2, None),                                # p^100 times a row
     (AL, ["--amax", HUGE], 2, None),
-    (AL, ["--weight", "1"], 2, None),
     (SCAN, [], 0, None),
     (SCAN, ["--p", "7"], 2, None),
     (SCAN, ["--p", "0"], 2, None),
@@ -187,11 +185,27 @@ def test_exit_code_grid(capsys, tmp_path, command, extra, code, fault):
 USAGE_GRID = [
     (VALIDATE, "--cache-dir", "x"),
     (VALIDATE, "--no-cache-dir", None),
+    (EXPAND, "--p", "2"),                   # not read as an abbreviation of --prec
+    (DUALITY, "--mmax", "2"),
+    (GENFUN, "--window", "2"),
+    (THETA, "--weight", "3"),
+    (THETA, "--p", "5"),
+    (UPLEMMA, "--weight", "0"),
+    (UPLEMMA, "--amax", "1"),
+    (AL, "--weight", "1"),
+    (AL, "--zprec", "1"),
+    (SCAN, "--weight", "0"),
+    (INFO, "--level", "6"),
 ]
 
 
+def usage_row_id(row):
+    command, option, _ = row
+    return " ".join([*command[:2 if command[0] in ("verify", "cache") else 1], option])
+
+
 @pytest.mark.parametrize("command, option, value", USAGE_GRID,
-                         ids=[f"{row[0][0]} {row[1]}" for row in USAGE_GRID])
+                         ids=[usage_row_id(row) for row in USAGE_GRID])
 def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value):
     monkeypatch.chdir(tmp_path)
     extra = [option, *([value] if value else [])]
@@ -208,7 +222,18 @@ def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value)
     ((*THETA, "--weight", "3"), "--weight"),
     ((*UPLEMMA, "--weight", "0"), "--weight"),
     ((*AL, "--weight", "1"), "--weight"),
-], ids=["al --amax", "theta --weight", "uplemma --weight", "al --weight"])
+    ((*EXPAND, "--prec", HUGE), "--prec"),
+    ((*EXPAND, "--m", HUGE), "--m"),
+    ((*VALIDATE, "--prec", HUGE), "--prec"),
+    ((*DUALITY, "--window", HUGE), "--window"),
+    ((*GENFUN, "--zprec", HUGE), "--zprec"),
+    ((*THETA, "--mmax", HUGE), "--mmax"),
+    ((*UPLEMMA, "--zero-window", HUGE), "--zero-window"),
+    ((*AL, "--rset", HUGE), "--rset"),
+], ids=["al --amax", "theta --weight", "uplemma --weight", "al --weight", "expand --prec",
+        "expand --m", "validate --prec", "duality --window", "genfun --zprec", "theta --mmax",
+        "uplemma --zero-window", "al --rset"])
 def test_refusal_names_its_option(capsys, argv, option):
-    code, _, err = run_cli(capsys, *argv, "--no-cache-dir")
-    assert code == 2 and option in err
+    reads_cache = argv[0] != "validate"
+    code, _, err = run_cli(capsys, *argv, *(["--no-cache-dir"] if reads_cache else []))
+    assert code == 2 and option in err, err
