@@ -16,7 +16,9 @@ psi = q^-1 + sum of c_j q^j.  Psi, first and g are all a family reads, once
 and as deep as its reach needs.  They hold only integers, as every series
 does (an input that is not integral is refused where it is expanded), so
 every row and every P does too.  Both recurrences run on Kronecker-packed
-integers, one _Packed table each.  A caller names all the rows it needs
+integers, one _Packed table each.  The row table holds each row's tail only,
+the coefficients past its known head of q^-m and the gap's zeros, so a step
+multiplies and decodes no head slot.  A caller names all the rows it needs
 in one request, and the planner serves it whichever way
 makes fewer series products.  A run of consecutive indices continues the
 row recurrence from the first row not yet built, one product per new row
@@ -47,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import functools
-import itertools
 import json
 import operator
 import os
@@ -92,9 +93,12 @@ class _Packed:
     """Integer rows, each one Kronecker-packed integer in the kernel's format
     (see ``_convolve``) with slots of ``width`` bytes: ``packed`` holds the
     rows, ``values`` each row's slot values, decoded once, and ``maxima``
-    their largest magnitudes, from which a caller bounds the next row.
-    ``bias`` is ``_bias(slots, width)`` for the slot count of the last
-    ``push``, built again only when that count or the width changes."""
+    their largest magnitudes, from which a caller bounds the next row.  A
+    row is what follows a head of slots its caller knows and keeps no
+    copy of: the basis rows' tails past q^-m and the gap, and the whole of
+    each P, a table whose head is 0.  ``bias`` is ``_bias(slots, width)``
+    for the slot count of the last ``push``, built again only when that
+    count or the width changes."""
 
     __slots__ = ("packed", "values", "maxima", "width", "slots", "bias")
 
@@ -122,7 +126,7 @@ class _Packed:
 
     def append(self, values: list) -> None:
         """Pack one more row from its values."""
-        top = max(map(abs, values))
+        top = max(map(abs, values), default=0)
         self.fit(top.bit_length())
         self.packed.append(_pack(values, self.width))
         self.values.append(values)
@@ -137,7 +141,7 @@ class _Packed:
         self.packed.append(raw - self.bias)
         values = _decode(raw, slots, self.width, self.bias)
         self.values.append(values)
-        self.maxima.append(max(map(abs, values)))
+        self.maxima.append(max(map(abs, values), default=0))
         return values
 
 
@@ -156,9 +160,11 @@ class _Family:
     ``_plan`` counts fewer series products for.  The row recurrence
     continues from the contiguous end, the first degree neither packed nor
     stored, with one product per new row: ``table`` holds rows 0, 1, ...,
-    ``stride`` coefficients apart, as packed integers whose slot width obeys
-    an exact bound from the maxima of the decoded rows.  After a table drop
-    or a cache load the stored rows are packed again, with no product.
+    ``stride`` coefficients apart, each as its tail, the slots past its
+    d // stride + 1 head slots (q^-m, then zeros through q^gap), packed
+    with a slot width that obeys an exact bound from the maxima of the
+    decoded tails.  After a table drop or a cache load the stored rows are
+    packed again, with no product, each head checked first.
     Horner evaluates each named row alone: ``baby`` holds first * psi^b,
     and ``giant`` the last psi^B it used.  ``elements`` receives only the
     rows a request named, so a cache file holds what callers asked for.
@@ -186,8 +192,8 @@ class _Family:
         self.polys.append([1])
         self.baby: list[QSeries] = []
         self.giant: QSeries | None = None
-        self.table = _Packed()          # rows m0, m0 + 1, ... on psi's progression
-        self._psi_packed = (0, 0)       # (width, psi packed in slots of that width)
+        self.table = _Packed()          # tails of rows m0, m0 + 1, ... on psi's progression
+        self._psi_packed = (0, 0, 0)    # (width, psi packed in slots of that width + bias, bias)
 
     def element(self, m: int) -> BasisElement:
         return self.rows([m])[0]
@@ -303,11 +309,12 @@ class _Family:
         f_(m+1) = psi f_m - sum over j >= 0 of c_j f_(m-j) + g_m first, and
         first is row 0, so g_m folds into the term j = m - m0.  psi f_m is
         known to O(q^(reach + 7 - m)), row m+1's precision, and every other
-        term deeper.  A row already stored is packed, not computed.
+        term deeper.  A row already stored is packed, not computed, once its
+        head is checked.
         """
-        table = self.table
+        table, s = self.table, self.stride
         if not table.packed:
-            table.append(self._first.coeffs[::self.stride])
+            table.append(self._first.coeffs[s::s])
         for d in degrees:
             if d < len(table.packed):
                 self._store(d, self._row(d, table.values[d]))
@@ -315,26 +322,31 @@ class _Family:
         for d in range(len(table.packed), degrees[-1] + 1):
             stored = self._stored(d)
             if stored:
-                table.append(stored.coeffs[::self.stride])
+                # no product reads a head, so a stored row's is checked before its tail is used
+                self._check(self.m0 + d, stored.coeffs[:d + 1])
+                table.append(stored.coeffs[(d // s + 1) * s::s])
                 continue
-            values = self._step()
-            m = self.m0 + d
-            self._check(m, values[:(self.gap + m) // self.stride + 1], self.stride)
+            tail = self._step()
             if d in named:
-                self._store(d, self._row(d, values))
+                self._store(d, self._row(d, tail))
 
     def _step(self) -> list:
-        """Pack the row after the last packed one; return its slot values.
+        """Pack the tail of the row after the last packed one; return its slot values.
 
-        One product, the last row times psi, then the c_j, j < n, each times
-        row n - j shifted (j + 1) / s slots, summed in one C-level pass with
-        psi's progression and magnitudes from ``_inputs``, and the fold term
-        j = n.  The slot width W satisfies
-        8 W >= bits(n max|row| max|psi| + sum of |c_j| max|row n-j|) + 2, n
-        the slots of a row, from the maxima of the decoded rows, so every slot
-        of the sum holds its coefficient; the table widens by ``_Packed.fit``
-        when that bound outgrows it.  The n kept slots are read once with the
-        bias the table holds, and stay packed.
+        Row n is X^0 + X^h tail_n, X one slot and h = n // s + 1; row n + 1
+        has H = h + 1 head slots when s divides n + 1, else h.  Each
+        tail_(n-j) a c_j meets, and tail_0 in the fold term j = n, starts at
+        row n + 1's slot H, so tail_(n+1) = psi tail_n X^(h-H) + psi's slots
+        from H on - sum of c_j tail_(n-j) - fold tail_0: one product, psi cut
+        to tail_n's length, and one C-level pass with psi's progression and
+        magnitudes from ``_inputs``.  The head terms leave row n + 1's head
+        1, 0, ..., 0 but for the q^gap slot when H = h + 1: tail_n's first
+        slot plus g_m, checked, and shed by the product term.  The slot width
+        W satisfies 8 W >= bits(S max|tail_n| max|psi| + max|psi| + sum of
+        |c_j| max|tail_(n-j)| + |fold| max|tail_0|) + 2, S the slots of a row,
+        so every kept slot holds its coefficient; the table widens by
+        ``_Packed.fit`` when that bound outgrows it.  The kept slots are
+        read once with the bias the table holds, and stay packed.
         """
         table = self.table
         n = len(table.packed) - 1
@@ -343,21 +355,30 @@ class _Family:
         psi = self._psi
         # psi * row n is known to row n+1's precision; every other term is known deeper
         assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
-        fold = psi.coeff(n) - self._dual.coeff(m)
+        g = self._dual.coeff(m)
+        fold = psi.coeff(n) - g
+        h, grown = n // s + 1, (n + 1) % s == 0
+        edge = grown and g + sum(table.values[n][:1])       # row n+1's q^gap slot
+        if edge:
+            self._check(m + 1, [1] + [0] * (h - 1) + [edge], s)
         # c_j for j = s-1, 2s-1, ... < n meets the rows n+1-s, n+1-2s, ... down to row 1
         lower = slice(n + 1 - s, 0, -s) if n >= s else slice(0)
-        table.fit((self.slots * table.maxima[n] * self._psi_top
+        table.fit((self.slots * table.maxima[n] * self._psi_top + self._psi_top
                    + sum(map(operator.mul, self._sizes, table.maxima[lower]))
                    + abs(fold) * table.maxima[0]).bit_length())
         w = table.width
         if self._psi_packed[0] != w:
-            self._psi_packed = (w, _pack(psi.coeffs[::s], w))
-        shifts = itertools.count(8 * w, 8 * w)
-        acc = table.packed[n] * self._psi_packed[1] - sum(
-            map(operator.lshift, map(operator.mul, self._c, table.packed[lower]), shifts))
-        if fold:
-            acc -= fold * table.packed[0] << 8 * w * ((n + 1) // s)
-        return table.push(acc, self.slots)
+            coeffs = psi.coeffs[::s]
+            bias = _bias(len(coeffs), w)
+            self._psi_packed = (w, _pack(coeffs, w, bias) + bias, bias)
+        _, raw, bias = self._psi_packed
+        cut, high = (1 << 8 * w * (self.slots - h)) - 1, 8 * w * (h + grown)
+        acc = table.packed[n] * ((raw & cut) - (bias & cut))
+        if grown:
+            acc = (acc + g) >> 8 * w
+        acc += (raw >> high) - (bias >> high) - fold * table.packed[0] - sum(
+            map(operator.mul, self._c, table.packed[lower]))
+        return table.push(acc, self.slots - h - grown)
 
     def _evaluate(self, d: int, b: int, prec: int) -> None:
         """Element m0 + d to O(q^prec) as first * P(psi), by Horner in psi^b over blocks of b babies."""
@@ -385,14 +406,14 @@ class _Family:
         if head[0] != 1:
             raise IntegralityViolation(f"unit pivot failed at index {m}")
 
-    def _row(self, d: int, values: list) -> QSeries:
-        """Row d, m = m0 + d, from its slot values: q^-m times a series in q^stride."""
-        m = self.m0 + d
-        if self.stride > 1:
-            coeffs = [0] * (self.reach + 8)
-            coeffs[:len(values) * self.stride:self.stride] = values
-            values = coeffs
-        return QSeries(-m, values, self.reach + 8 - m)
+    def _row(self, d: int, tail: list) -> QSeries:
+        """Row d, m = m0 + d, from its tail's slot values: q^-m, zeros through
+        q^gap, then the tail, every stride-th coefficient."""
+        s, start = self.stride, (d // self.stride + 1) * self.stride
+        coeffs = [0] * (start + len(tail) * s)
+        coeffs[0] = 1
+        coeffs[start::s] = tail
+        return QSeries(-self.m0 - d, coeffs, self.reach + 8 - self.m0 - d)
 
     def _store(self, d: int, series: QSeries) -> None:
         m = self.m0 + d

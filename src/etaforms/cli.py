@@ -123,7 +123,11 @@ def _persist(cache: BasisCache) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, as 1,5,7, not {text!r}") from None
 
 
 # ----------------------------------------------------------------------

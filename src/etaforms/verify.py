@@ -204,6 +204,9 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
     params = {"level": n, "weight": k, "m_max": m_max, "z_prec": z_prec}
     if m_max < -n0:
         return CheckReport.vacuous("genfun", params)
+    if m_max + n0 + 1 > sys.maxsize:
+        raise ValueError(f"m_max (--mmax) {m_max} is too large: its columns need a z-precision "
+                         f"past the largest index {sys.maxsize}")
     if z_prec < m_max + n0 + 1:
         raise InsufficientPrecision(
             f"z-precision {z_prec} cannot complete columns through {m_max - 1}",

@@ -876,6 +876,32 @@ class TestRowRecurrence:
         want = peeled_rows(10, 2, "S", fam.reach, 20)
         assert [element_fields(e) for e in got] == [want[m] for m in range(m0, m0 + 21)]
 
+    @pytest.mark.parametrize("k, space", [(0, "M"), (2, "S")])
+    @pytest.mark.parametrize("n", SUPPORTED_LEVELS)
+    def test_tails_survive_a_widening_a_table_drop_and_a_reload(self, monkeypatch, tmp_path,
+                                                                n, k, space):
+        widened = record_widenings(monkeypatch)
+        disk = BasisCache(directory=str(tmp_path))
+        m0 = -(get_level(n).n0(k) if space == "M" else get_level(n).n1(k))
+        fam = disk.family(n, k, space, min_index=m0 + 20, min_prec=36)
+        table = fam.table
+        got = fam.rows(range(m0, m0 + 21))
+        assert len(widened[table]) >= 2 and fam.table.packed == []     # widened, then dropped
+        assert disk.family(n, k, space, min_index=m0 + 36, min_prec=20) is fam
+        got += fam.rows(range(m0 + 21, m0 + 29))
+        assert len(fam.table.packed) == 29
+        disk.save()
+        loaded = BasisCache(directory=str(tmp_path)).family(n, k, space, min_index=m0 + 36,
+                                                            min_prec=20)
+        assert loaded.reach == fam.reach
+        steps = count_steps(monkeypatch)
+        got += loaded.rows(range(m0, m0 + 37))
+        # rows m0..m0+28 are packed from disk, each head checked, and the rest computed
+        assert steps == list(range(m0 + 29, m0 + 37))
+        want = peeled_rows(n, k, space, fam.reach, 36)
+        assert len(got) == 21 + 8 + 37
+        assert [element_fields(e) for e in got] == [want[e.index] for e in got]
+
     def test_slots_widen_as_the_rows_grow(self, monkeypatch):
         widened = record_widenings(monkeypatch)
         fam = BasisCache().family(6, 0, "M", min_index=120, min_prec=100)

@@ -427,6 +427,26 @@ class TestValidateAndCache:
         assert err == ("data integrity error: P_11(psi) left q^0 uncancelled "
                        "for (level 6, weight 0, space M)\n")
 
+    @pytest.mark.parametrize("n, exponent", [(6, -9), (6, 0), (18, -7), (18, -8)])
+    def test_edited_gap_coefficient_is_an_integrity_error_once_a_later_row_uses_it(
+            self, capsys, tmp_path, n, exponent):
+        # no product reads a stored row's head, so packing row 10 for row 11
+        # checks it; at level 18, q^-8 lies off the step-3 progression of q^-10
+        cache = basis.BasisCache(directory=str(tmp_path))
+        cache.rows(n, 0, "M", range(0, 11), 30)
+        [path] = cache.save()
+        with open(path) as fh:
+            doc = json.load(fh)
+        row = doc["elements"]["10"]
+        row["coeffs"][exponent - row["valuation"]] = "1"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_cli(capsys, "verify", "duality", "--level", str(n), "--weight", "0",
+                                 "--window", "15", "--nwindow", "5", "--cache-dir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == (f"data integrity error: P_10(psi) left q^{exponent} uncancelled "
+                       f"for (level {n}, weight 0, space M)\n")
+
     @pytest.mark.parametrize("coeff", ["3/2", 7])
     def test_non_integer_cache_coefficient_is_one_warning_and_recomputed(self, capsys, tmp_path,
                                                                           coeff):

@@ -14,7 +14,8 @@ not here.  Nor are permission faults, which do not stop a test run as root.
 argparse's own refusals print its usage text before their error line, so
 they have a grid of their own: each command and each verify check declares
 only the options it reads, and refuses another's, as validate, reading no
-basis, refuses the cache options.
+basis, refuses the cache options; a malformed residue list is refused with
+the form it should take.
 """
 
 import os
@@ -98,6 +99,7 @@ GRID = [
     (GENFUN, ["--zprec", "-1"], 4, None),
     (GENFUN, ["--weight", "1"], 2, None),
     (GENFUN, ["--zprec", HUGE], 2, None),
+    (GENFUN, ["--mmax", HUGE], 2, None),                             # needs a z-precision past it
     (THETA, [], 0, None),
     (THETA, ["--mmax", "0"], 0, None),
     (THETA, ["--mmax", "-1"], 0, None),
@@ -181,39 +183,42 @@ def test_exit_code_grid(capsys, tmp_path, command, extra, code, fault):
         assert run_cli(capsys, *argv, "--no-cache-dir") == (0, out, "")
 
 
-# (command, an option it does not declare, its value or None)
+# (command, an option it does not declare or a malformed value of one it
+# does, its value or None, the error line or None for an unrecognized option)
 USAGE_GRID = [
-    (VALIDATE, "--cache-dir", "x"),
-    (VALIDATE, "--no-cache-dir", None),
-    (EXPAND, "--p", "2"),                   # not read as an abbreviation of --prec
-    (DUALITY, "--mmax", "2"),
-    (GENFUN, "--window", "2"),
-    (THETA, "--weight", "3"),
-    (THETA, "--p", "5"),
-    (UPLEMMA, "--weight", "0"),
-    (UPLEMMA, "--amax", "1"),
-    (AL, "--weight", "1"),
-    (AL, "--zprec", "1"),
-    (SCAN, "--weight", "0"),
-    (INFO, "--level", "6"),
+    (VALIDATE, "--cache-dir", "x", None),
+    (VALIDATE, "--no-cache-dir", None, None),
+    (EXPAND, "--p", "2", None),             # not read as an abbreviation of --prec
+    (DUALITY, "--mmax", "2", None),
+    (GENFUN, "--window", "2", None),
+    (THETA, "--weight", "3", None),
+    (THETA, "--p", "5", None),
+    (UPLEMMA, "--weight", "0", None),
+    (UPLEMMA, "--amax", "1", None),
+    (AL, "--weight", "1", None),
+    (AL, "--zprec", "1", None),
+    (AL, "--rset", "1,x", "etaforms verify al: error: argument --rset: "
+                          "expected comma-separated integers, as 1,5,7, not '1,x'"),
+    (SCAN, "--weight", "0", None),
+    (INFO, "--level", "6", None),
 ]
 
 
 def usage_row_id(row):
-    command, option, _ = row
+    command, option, _, _ = row
     return " ".join([*command[:2 if command[0] in ("verify", "cache") else 1], option])
 
 
-@pytest.mark.parametrize("command, option, value", USAGE_GRID,
+@pytest.mark.parametrize("command, option, value, error", USAGE_GRID,
                          ids=[usage_row_id(row) for row in USAGE_GRID])
-def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value):
+def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value, error):
     monkeypatch.chdir(tmp_path)
     extra = [option, *([value] if value else [])]
     got, out, err = run_cli(capsys, *command, *extra)
     lines = err.splitlines()
     assert (got, out) == (2, ""), err
     assert "Traceback" not in err and lines[0].startswith("usage: etaforms ")
-    assert lines[-1] == f"etaforms: error: unrecognized arguments: {' '.join(extra)}"
+    assert lines[-1] == (error or f"etaforms: error: unrecognized arguments: {' '.join(extra)}")
     assert os.listdir(tmp_path) == []
 
 
@@ -227,11 +232,12 @@ def test_usage_error_grid(capsys, tmp_path, monkeypatch, command, option, value)
     ((*VALIDATE, "--prec", HUGE), "--prec"),
     ((*DUALITY, "--window", HUGE), "--window"),
     ((*GENFUN, "--zprec", HUGE), "--zprec"),
+    ((*GENFUN, "--mmax", HUGE), "--mmax"),
     ((*THETA, "--mmax", HUGE), "--mmax"),
     ((*UPLEMMA, "--zero-window", HUGE), "--zero-window"),
     ((*AL, "--rset", HUGE), "--rset"),
 ], ids=["al --amax", "theta --weight", "uplemma --weight", "al --weight", "expand --prec",
-        "expand --m", "validate --prec", "duality --window", "genfun --zprec", "theta --mmax",
+        "expand --m", "validate --prec", "duality --window", "genfun --zprec", "genfun --mmax", "theta --mmax",
         "uplemma --zero-window", "al --rset"])
 def test_refusal_names_its_option(capsys, argv, option):
     reads_cache = argv[0] != "validate"
