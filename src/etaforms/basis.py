@@ -662,7 +662,7 @@ class BasisCache:
                 m = int(m_text)
                 fam.elements[m] = BasisElement(data.N, k, m, space, QSeries.from_json(e),
                                                tuple(parse_coeffs(e["poly"])))
-        except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError) as err:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
             # a file that cannot be read or parsed, or breaks the schema,
             # costs a recomputation, and the next save replaces it if it can
             print(f"warning: ignoring unreadable cache file {path} "

@@ -192,14 +192,14 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     from . import verify
-    if args.require_weak and (args.level, args.p) not in ((18, 2), (12, 3)):
+    weak_unless = verify.CONGRUENCE_CASES.get((args.level, args.p), (0, None))[1]
+    if args.require_weak and weak_unless is None:
         raise ValueError(f"no weak congruence case for level {args.level}, p = {args.p}")
     cache = _resolve_cache(args)
     rows, report = verify.congruence_scan(args.level, args.p, args.amax, args.bmax, r_set=args.rset,
                                           s_set=args.sset, n_cap=args.ncap, cache=cache)
     if args.require_weak:
-        side = 3 if args.level == 18 else 2
-        rows = [row for row in rows if row.r % side]
+        rows = [row for row in rows if row.r % weak_unless]
         report.details["rows_after_weak_filter"] = len(rows)
     doc = _document(
         "scan", report.params,

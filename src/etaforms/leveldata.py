@@ -1,7 +1,8 @@
 """Per-level constants: hauptmoduls, weight forms, cusp polynomials, involution data.
 
-Constants are embedded as parsed fixture text under ``fixtures/`` rather than
-as code literals, so each one can be eyeballed and diffed in its own grammar.
+Constants are embedded as fixture text under ``fixtures/`` rather than as
+code literals, so each one can be eyeballed and diffed in its own grammar,
+and ``_parse_fixture`` reads each in one pass, straight into its records.
 The fixtures for levels 12 and 18 each carry one corrected eta exponent; the
 rejected variants live in ``*_uncorrected.txt`` and stay loadable so the
 failure they cause is reproducible.
@@ -80,10 +81,8 @@ class LevelData(Record):
     # deepest expansion of each kind, per instance so overridden variants never mix
     _expansions: dict
 
-    def __init__(self, N, hauptmodul_quotient, hauptmodul_shift, weight_forms, cusp_poly,
-                 aux=None):
-        super().__init__(N, hauptmodul_quotient, hauptmodul_shift, weight_forms, cusp_poly,
-                         {} if aux is None else aux, {})
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named, _expansions={})
 
     # -- deduced structure -------------------------------------------------
 
@@ -149,14 +148,21 @@ def _fixture_text(name: str) -> str:
 
 
 def _parse_fixture(text: str) -> dict:
-    """Parse one fixture document into its raw pieces."""
-    level = None
-    hauptmodul = None
-    shift = 0
-    weight_forms: list[dict] = []
-    cusp_poly = None
-    aux_blocks: list[dict] = []
-    current: dict | None = None
+    """The fields of ``LevelData`` in one fixture document, each built as its
+    line is read.  The level line comes first.  A ``weightform`` line opens a
+    block that collects the ``term`` lines after it, an ``aux`` line one that
+    collects its ``alt`` and ``cusp`` lines; the next line of another kind, or
+    the end of the text, completes the block's record."""
+    fields = {"N": None, "hauptmodul_shift": 0, "weight_forms": {}, "aux": {}}
+    block = {}                  # the open block's record fields so far; {} when none is open
+
+    def complete():
+        if "combination" in block:
+            # parsed together: one e2 term makes every term of the form an e2 term
+            block["combination"] = _parse_weight_form_terms(block["combination"], fields["N"])
+            fields["weight_forms"][block["weight"]] = WeightForm(**block)
+        elif block:
+            fields["aux"][block["p"]] = AuxData(**block)
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -164,53 +170,45 @@ def _parse_fixture(text: str) -> dict:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "level":
-            level = int(rest)
+        if head not in ("term", "alt", "cusp"):     # a line of another kind completes a block
+            complete()
+            block = {}
+        if head == "term":
+            if "combination" not in block:
+                raise ValueError("term line outside a weightform block")
+            block["combination"].append(rest)
+        elif head in ("alt", "cusp"):
+            if "p" not in block:
+                raise ValueError(f"{head} line outside an aux block")
+            block[head] = parse_eta_quotient(rest, fields["N"])
+        elif head == "level":
+            fields["N"] = int(rest)
+        elif fields["N"] is None:
+            raise ValueError("fixture has no level line")
         elif head == "hauptmodul":
             quot_text, _, shift_text = rest.partition("|")
-            hauptmodul = quot_text.strip()
-            kv = shift_text.strip().split()
+            fields["hauptmodul_quotient"] = parse_eta_quotient(quot_text.strip(), fields["N"])
+            kv = shift_text.split()
             if kv:
                 if kv[0] != "shift" or len(kv) != 2:
                     raise ValueError(f"bad hauptmodul shift clause: {shift_text!r}")
                 shift = Fraction(kv[1])
                 # an int, as psi's coefficients are; psi refuses one that is not
-                shift = shift.numerator if shift.denominator == 1 else shift
-            current = None
-        elif head == "weightform":
-            opts = dict(kv.split("=") for kv in rest.split())
-            current = {"kind": "weightform", "weight": int(opts["weight"]),
-                       "vanishing": int(opts["vanishing"]), "terms": []}
-            weight_forms.append(current)
-        elif head == "term":
-            if current is None or current["kind"] != "weightform":
-                raise ValueError("term line outside a weightform block")
-            current["terms"].append(rest)
+                fields["hauptmodul_shift"] = shift.numerator if shift.denominator == 1 else shift
         elif head == "cusppoly":
-            cusp_poly = tuple(int(c) for c in rest.split())
-            current = None
-        elif head == "aux":
-            opts = dict(kv.split("=") for kv in rest.split())
-            current = {"kind": "aux", "p": int(opts["p"]), "scale": int(opts["scale"]),
-                       "sign": int(opts["sign"]), "polecusp": int(opts["polecusp"])}
-            aux_blocks.append(current)
-        elif head in ("alt", "cusp"):
-            if current is None or current["kind"] != "aux":
-                raise ValueError(f"{head} line outside an aux block")
-            current[head] = rest
+            fields["cusp_poly"] = tuple(int(c) for c in rest.split())
+        elif head in ("weightform", "aux"):
+            opts = {k: int(v) for k, v in (kv.split("=") for kv in rest.split())}
+            block = ({"weight": opts["weight"], "vanishing": opts["vanishing"], "combination": []}
+                     if head == "weightform" else
+                     {"p": opts["p"], "scale": opts["scale"], "sign": opts["sign"],
+                      "pole_cusp": opts["polecusp"]})
         else:
             raise ValueError(f"unrecognized fixture line: {line!r}")
-
-    if level is None:
+    complete()
+    if fields["N"] is None:
         raise ValueError("fixture has no level line")
-    return {
-        "level": level,
-        "hauptmodul": hauptmodul,
-        "shift": shift,
-        "weight_forms": weight_forms,
-        "cusp_poly": cusp_poly,
-        "aux": aux_blocks,
-    }
+    return fields
 
 
 def _parse_weight_form_terms(term_texts: list[str], n: int) -> EtaCombination | E2Combination:
@@ -231,33 +229,6 @@ def _parse_weight_form_terms(term_texts: list[str], n: int) -> EtaCombination | 
     return EtaCombination([parse_eta_quotient(t, n) for t in term_texts])
 
 
-def _build_level(name: str) -> LevelData:
-    raw = _parse_fixture(_fixture_text(name))
-    n = raw["level"]
-    forms = {}
-    for block in raw["weight_forms"]:
-        comb = _parse_weight_form_terms(block["terms"], n)
-        forms[block["weight"]] = WeightForm(block["weight"], block["vanishing"], comb)
-    aux = {}
-    for block in raw["aux"]:
-        aux[block["p"]] = AuxData(
-            p=block["p"],
-            scale=block["scale"],
-            sign=block["sign"],
-            pole_cusp=block["polecusp"],
-            alt=parse_eta_quotient(block["alt"], n),
-            cusp=parse_eta_quotient(block["cusp"], n),
-        )
-    return LevelData(
-        N=n,
-        hauptmodul_quotient=parse_eta_quotient(raw["hauptmodul"], n),
-        hauptmodul_shift=raw["shift"],
-        weight_forms=forms,
-        cusp_poly=raw["cusp_poly"],
-        aux=aux,
-    )
-
-
 _levels: dict[int, LevelData] = {}
 _levels_lock = threading.Lock()
 
@@ -267,7 +238,7 @@ def get_level(n: int) -> LevelData:
         raise UnsupportedLevel(n)
     with _levels_lock:
         if n not in _levels:
-            _levels[n] = _build_level(f"level{n:02d}.txt")
+            _levels[n] = LevelData(**_parse_fixture(_fixture_text(f"level{n:02d}.txt")))
         return _levels[n]
 
 
@@ -275,6 +246,5 @@ def uncorrected_weight_form(n: int) -> EtaCombination:
     """The rejected transcription of the level-12 or level-18 weight form."""
     if n not in (12, 18):
         raise UnsupportedLevel(n)
-    raw = _parse_fixture(_fixture_text(f"level{n}_uncorrected.txt"))
-    block = raw["weight_forms"][0]
-    return EtaCombination([parse_eta_quotient(t, n) for t in block["terms"]])
+    [form] = _parse_fixture(_fixture_text(f"level{n}_uncorrected.txt"))["weight_forms"].values()
+    return form.combination

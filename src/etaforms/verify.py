@@ -467,31 +467,29 @@ def _valuation(value: int, p: int) -> int:
 # ----------------------------------------------------------------------
 # congruence scan
 
+# The paper's congruence cases, keyed by (N, p): the strong bound's excess over
+# a - b, and the t for which a residue r with t not dividing it leaves only the
+# weak bound a - b (None where every r is strong).  Where the excess is 0 no
+# claim is made for b > a.
+CONGRUENCE_CASES = {(6, 2): (2, None), (12, 2): (2, None), (18, 2): (2, 3),
+                    (6, 3): (1, None), (18, 3): (1, None), (12, 3): (1, 2),
+                    (10, 2): (1, None), (10, 5): (0, None)}
+
+
 def congruence_bound(n: int, p: int, a: int, b: int, r: int) -> tuple[int | None, str]:
     """Claimed lower bound for the p-adic valuation of the (p^a r, p^b s)
     coefficient, and the case label.  None means no claim."""
     if a == b:
         return None, "diagonal"
-    side = "a>b" if a > b else "b>a"
-    strong2 = (a - b + 2, f"strong {side}") if a > b else (2, f"strong {side}")
-    strong1 = (a - b + 1, f"strong {side}") if a > b else (1, f"strong {side}")
-    if (n, p) == (6, 2) or (n, p) == (12, 2):
-        return strong2
-    if (n, p) == (18, 2):
-        if r % 3 == 0:
-            return strong2
-        return (a - b, f"weak {side}") if a > b else (None, "none")
-    if (n, p) == (6, 3) or (n, p) == (18, 3):
-        return strong1
-    if (n, p) == (12, 3):
-        if r % 2 == 0:
-            return strong1
-        return (a - b, f"weak {side}") if a > b else (None, "none")
-    if (n, p) == (10, 2):
-        return strong1
-    if (n, p) == (10, 5):
-        return (a - b, f"strong {side}") if a > b else (None, "none")
-    raise ValueError(f"no congruence data for level {n}, p = {p}")
+    if (n, p) not in CONGRUENCE_CASES:
+        raise ValueError(f"no congruence data for level {n}, p = {p}")
+    excess, weak_unless = CONGRUENCE_CASES[n, p]
+    case = "strong"
+    if weak_unless and r % weak_unless:
+        excess, case = 0, "weak"
+    if a > b:
+        return a - b + excess, f"{case} a>b"
+    return (excess, f"{case} b>a") if excess else (None, "none")
 
 
 def _residues(p: int, values) -> list[int]:

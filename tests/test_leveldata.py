@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from etaforms import leveldata
 from etaforms.basis import (BasisCache, _cusp_factor, _expand_cusp_factor, _expand_first,
                             _first_series)
 from etaforms.errors import FractionalValuation, IntegralityViolation, UnsupportedLevel
@@ -169,11 +170,8 @@ class TestValidation:
         assert [type(get_level(n).hauptmodul_shift) for n in SUPPORTED_LEVELS] == [int] * 4
         assert get_level(6).hauptmodul_shift == -4
         text = _fixture_text("level06.txt").replace("| shift -4", "| shift -7/2")
-        good = get_level(6)
-        shift = _parse_fixture(text)["shift"]
-        assert shift == Fraction(-7, 2)
-        broken = LevelData(good.N, good.hauptmodul_quotient, shift, good.weight_forms,
-                           good.cusp_poly, good.aux)
+        broken = LevelData(**_parse_fixture(text))
+        assert broken.hauptmodul_shift == Fraction(-7, 2)
         # the bare quotient's constant term is 4
         with pytest.raises(IntegralityViolation, match=r"q\^0 is 1/2, not an integer"):
             broken.hauptmodul_series(8)
@@ -189,6 +187,55 @@ class TestValidation:
         assert data["ok"] is True
         assert any("hauptmodul" in c["name"] for c in data["checks"])
         assert "pass" in report.render_text()
+
+
+LEVEL6 = _fixture_text("level06.txt")
+E2_FORM = "level 6\nweightform weight=2 vanishing=2\nterm 1/48 * e2(2)\n"
+
+
+class TestMalformedFixtures:
+    """Each refusal of the fixture grammar, met through ``get_level``."""
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(LEVEL6.replace("| shift -4", "| offset 3"),
+                     "bad hauptmodul shift clause: ' offset 3'", id="shift-clause"),
+        pytest.param("level 6\nterm eta(1)^2 * eta(6)^-2\n",
+                     "term line outside a weightform block", id="term-alone"),
+        pytest.param(LEVEL6.replace("2 1\n", "2 1\nterm eta(6)\n"),
+                     "term line outside a weightform block", id="term-after-cusppoly"),
+        pytest.param("level 6\nalt eta(1)^5\n", "alt line outside an aux block", id="alt-alone"),
+        pytest.param(E2_FORM + "alt eta(1)^5\n", "alt line outside an aux block",
+                     id="alt-in-weightform"),
+        pytest.param("level 6\ncusp eta(1)^-1\n", "cusp line outside an aux block",
+                     id="cusp-alone"),
+        pytest.param(E2_FORM + "cusp eta(1)^-1\n", "cusp line outside an aux block",
+                     id="cusp-in-weightform"),
+        pytest.param(LEVEL6.replace("cusppoly", "cuspoly"),
+                     "unrecognized fixture line: 'cuspoly -60 -23 2 1'", id="misspelt-keyword"),
+        pytest.param("level 6\nshift -4\n", "unrecognized fixture line: 'shift -4'",
+                     id="unknown-keyword"),
+        pytest.param(LEVEL6.replace("level 6", ""), "fixture has no level line",
+                     id="level-line-removed"),
+        pytest.param("hauptmodul eta(1)^-4 * eta(2)^8 * eta(3)^4 * eta(6)^-8 | shift -4\n",
+                     "fixture has no level line", id="hauptmodul-alone"),
+        pytest.param("# no constants\n", "fixture has no level line", id="comments-only"),
+        pytest.param(E2_FORM + "term -1/30\n", "mixed eta/e2 weight form term: '-1/30'",
+                     id="e2-form-term-without-e2"),
+    ])
+    def test_refused_with_its_message(self, monkeypatch, text, message):
+        monkeypatch.setattr(leveldata, "_fixture_text", lambda name: text)
+        monkeypatch.delitem(leveldata._levels, 6, raising=False)
+        with pytest.raises(ValueError) as info:
+            get_level(6)
+        assert str(info.value) == message
+
+    def test_level_line_comes_first(self, monkeypatch):
+        # the level is read before any quotient, so a later level line cannot rescue one
+        text = LEVEL6.replace("level 6", "").replace("cusppoly", "level 6\ncusppoly")
+        monkeypatch.setattr(leveldata, "_fixture_text", lambda name: text)
+        monkeypatch.delitem(leveldata._levels, 6, raising=False)
+        with pytest.raises(ValueError, match="^fixture has no level line$"):
+            get_level(6)
 
 
 def expansion_kinds(data):
