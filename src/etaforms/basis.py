@@ -27,8 +27,8 @@ evaluated as first * P(psi) by baby-step/giant-step (Paterson-Stockmeyer):
 Horner in psi^B over blocks that combine the baby powers first * psi^b,
 b < B.  Each result is checked to be q^-m with zeros through the gap, which
 makes it the unique canonical element.  One routine, _extend_powers, grows
-every power table, and one, _substitute, evaluates every polynomial at a
-series.
+every power table, and QSeries.combination, the one linear-combination
+routine, evaluates every polynomial at a series and every Horner step.
 
 Elements are memoized per (level, weight, space) family, and one number, the
 family's reach, sizes it: each factor psi = q^-1 + ... costs one known term,
@@ -59,8 +59,8 @@ from math import gcd
 from .errors import IndexBelowRange, InsufficientPrecision, IntegralityViolation
 from .leveldata import LevelData, get_level
 from .operators import theta
-from .series import (QSeries, Record, _bias, _decode, _low_slots, _pack, _progression, _slot_width,
-                     deepest, parse_coeffs)
+from .series import (QSeries, Record, _bias, _decode, _low_slots, _pack, _progression,
+                     _scaled_sum, _slot_width, deepest, parse_coeffs)
 
 M_SPACE = "M"
 S_SPACE = "S"
@@ -177,8 +177,7 @@ class _Family:
         self.data = data
         self.k = k
         self.space = space
-        self.gap = _gap(data, k, space)
-        self.m0 = -self.gap
+        self.m0 = -_gap(data, k, space)
         self.reach = reach
         self.top = self.m0
         self.elements: dict[int, BasisElement] = {}
@@ -198,6 +197,10 @@ class _Family:
     def element(self, m: int) -> BasisElement:
         return self.rows([m])[0]
 
+    def _prec(self, m: int) -> int:
+        """The family's precision for element m: each psi factor costs one known term."""
+        return self.reach + 8 - m
+
     def rows(self, ms, precs=None) -> list[BasisElement]:
         """Elements ``ms``, the missing ones built as ``_plan`` chooses.
 
@@ -212,7 +215,7 @@ class _Family:
                 f"(level {self.data.N}, weight {self.k}, space {self.space})")
         asked: dict[int, int] = {}
         if precs is None:
-            precs = [self.reach + 8 - m for m in ms]
+            precs = [self._prec(m) for m in ms]
         for m, prec in zip(ms, precs, strict=True):
             asked[m] = max(asked.get(m, prec), prec)
         degrees = sorted(m - self.m0 for m, prec in asked.items()
@@ -243,7 +246,7 @@ class _Family:
         without a unit pivot and a g off the progression of psi and first."""
         data, k = self.data, self.k
         psi = self._psi = data.hauptmodul_series(self.reach + 7)
-        first = self._first = _first_series(data, k, self.space, self.reach + 8 - self.m0)
+        first = self._first = _first_series(data, k, self.space, self._prec(self.m0))
         if (k, self.space) == (0, M_SPACE):
             g = -theta(psi)             # the theta relation at m = 1: no weight form needed
         else:
@@ -251,7 +254,7 @@ class _Family:
             dual = M_SPACE if self.space == S_SPACE else S_SPACE
             g = _first_series(data, 2 - k, dual, self.reach + max(self.m0, 8 + _gap(data, 2 - k, dual)))
         self._dual = g
-        self._check(self.m0, [first.coeff(self.gap)])
+        self._check(self.m0, [first.coeff(-self.m0)])
         s = self.stride = gcd(_progression(psi.coeffs)[1], _progression(first.coeffs)[1]) or 1
         # g_(m0+n) joins degree n + 1, so it vanishes unless s divides n + 1, as c_n does
         off = [i for i, c in enumerate(g.coeffs, g.valuation) if c and (i + 1 - self.m0) % s]
@@ -290,7 +293,7 @@ class _Family:
         (its coefficients are ints, as every QSeries' are)."""
         m = self.m0 + d
         e = self.elements.get(m)
-        if e and e.expansion.prec == self.reach + 8 - m and e.expansion.valuation == -m:
+        if e and e.expansion.prec == self._prec(m) and e.expansion.valuation == -m:
             return e.expansion
         return None
 
@@ -354,7 +357,7 @@ class _Family:
         s = self.stride
         psi = self._psi
         # psi * row n is known to row n+1's precision; every other term is known deeper
-        assert min(self.reach + 8 - m + psi.valuation, psi.prec - m) == self.reach + 7 - m
+        assert min(self._prec(m) + psi.valuation, psi.prec - m) == self._prec(m + 1)
         g = self._dual.coeff(m)
         fold = psi.coeff(n) - g
         h, grown = n // s + 1, (n + 1) % s == 0
@@ -385,14 +388,14 @@ class _Family:
         m = self.m0 + d
         poly = self._poly(d)
         g = d // b
-        series = _substitute(poly[g * b:], self.baby, prec + g * b)
+        series = QSeries.combination(zip(poly[g * b:], self.baby), prec + g * b)
         if g and (self.giant is None or -self.giant.valuation != b):
             self.giant = self._psi ** b
         for g in range(g - 1, -1, -1):
-            block = _substitute(poly[g * b:(g + 1) * b], self.baby, prec + g * b)
-            series = series * self.giant + block
+            series = QSeries.combination([(1, series * self.giant),
+                                          *zip(poly[g * b:(g + 1) * b], self.baby)], prec + g * b)
         assert series.prec == prec
-        self._check(m, [series.coeff(t) for t in range(-m, self.gap + 1)])
+        self._check(m, [series.coeff(t) for t in range(-m, 1 - self.m0)])
         self._store(d, series)
 
     def _check(self, m: int, head: list, step: int = 1) -> None:
@@ -413,7 +416,7 @@ class _Family:
         coeffs = [0] * (start + len(tail) * s)
         coeffs[0] = 1
         coeffs[start::s] = tail
-        return QSeries(-self.m0 - d, coeffs, self.reach + 8 - self.m0 - d)
+        return QSeries(-self.m0 - d, coeffs, self._prec(self.m0 + d))
 
     def _store(self, d: int, series: QSeries) -> None:
         m = self.m0 + d
@@ -457,12 +460,8 @@ class _Family:
 
 def _cusp_times(cusp, poly: list) -> list:
     """The product cusp * poly, ascending, with every term kept: one slice
-    multiply-add per nonzero coefficient of ``cusp``, which is short."""
-    out = [0] * (len(cusp) + len(poly) - 1)
-    for i, c in enumerate(cusp):
-        if c:
-            out[i:i + len(poly)] = [x + c * y for x, y in zip(out[i:], poly)]
-    return out
+    multiply-add per coefficient of ``cusp``, which is short."""
+    return _scaled_sum([(c, i, poly) for i, c in enumerate(cusp)], 0, len(cusp) + len(poly) - 1)
 
 
 def _first_series(data: LevelData, k: int, space: str, prec: int) -> QSeries:
@@ -509,7 +508,7 @@ def _expand_cusp_factor(data: LevelData, prec: int) -> QSeries:
     top = len(data.cusp_poly) - 1
     psi = data.hauptmodul_series(prec + top - 1)
     powers = _extend_powers([QSeries.one(psi.prec + 1)], psi, top)
-    return _substitute(data.cusp_poly, powers, psi.prec)
+    return QSeries.combination(zip(data.cusp_poly, powers), psi.prec)
 
 
 def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]:
@@ -517,22 +516,6 @@ def _extend_powers(powers: list[QSeries], x: QSeries, top: int) -> list[QSeries]
     while len(powers) <= top:
         powers.append(powers[-1] * x)
     return powers
-
-
-def _substitute(coeffs, powers: list[QSeries], prec: int) -> QSeries:
-    """Sum of coeffs[i] * powers[i], known to O(q^prec) or the least precision used.
-
-    The scaled powers accumulate in one list.
-    """
-    used = [(c, p) for c, p in zip(coeffs, powers) if c]
-    prec = min([prec] + [p.prec for _, p in used])
-    val = min([prec] + [p.valuation for _, p in used])
-    acc = [0] * (prec - val)
-    for c, p in used:
-        lo = p.valuation - val
-        hi = min(lo + len(p.coeffs), prec - val)
-        acc[lo:hi] = [x + c * y for x, y in zip(acc[lo:hi], p.coeffs)]
-    return QSeries(val, acc, prec)
 
 
 class BasisCache:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FractionalValuation, IntegralityViolation, InvalidCusp, MixedWeight
-from .series import QSeries, Record
+from .series import QSeries, Record, _scaled_sum
 
 
 def euler_product(prec: int) -> QSeries:
@@ -86,11 +86,8 @@ def _rational_sum(parts, prec: int) -> QSeries:
     """
     den = lcm(*[s.denominator for s, _, _ in parts])
     lo = min([prec] + [off for _, off, _ in parts])
-    out = [0] * (prec - lo)
-    for s, off, coeffs in parts:
-        k = s.numerator * (den // s.denominator)
-        i = off - lo
-        out[i:i + len(coeffs)] = [x + k * c for x, c in zip(out[i:], coeffs)]
+    out = _scaled_sum([(s.numerator * (den // s.denominator), off, coeffs)
+                       for s, off, coeffs in parts], lo, prec)
     if den != 1:
         bad = next((i for i, x in enumerate(out) if x % den), None)
         if bad is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import UnsupportedLevel
 from .eta import (
@@ -215,16 +215,13 @@ def _parse_weight_form_terms(term_texts: list[str], n: int) -> EtaCombination | 
     if any("e2(" in t for t in term_texts):
         parsed = []
         for text in term_texts:
-            scale = Fraction(1)
-            t_val = None
-            for part in (p.strip() for p in text.split("*")):
-                if part.startswith("e2(") and part.endswith(")"):
-                    t_val = int(part[3:-1])
-                else:
-                    scale *= Fraction(part)
-            if t_val is None:
-                raise ValueError(f"mixed eta/e2 weight form term: {text!r}")
-            parsed.append((scale, t_val))
+            parts = [p.strip() for p in text.split("*")]
+            e2 = [p for p in parts if p.startswith("e2(") and p.endswith(")")]
+            if len(e2) != 1 or any(p.startswith("eta(") for p in parts):
+                problem = "more than one e2 factor in" if e2[1:] else "mixed eta/e2"
+                raise ValueError(f"{problem} weight form term: {text!r}")
+            scale = prod([Fraction(p) for p in parts if p not in e2], start=Fraction(1))
+            parsed.append((scale, int(e2[0][3:-1])))
         return E2Combination(tuple(parsed))
     return EtaCombination([parse_eta_quotient(t, n) for t in term_texts])
 

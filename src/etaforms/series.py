@@ -4,9 +4,15 @@ A :class:`QSeries` stores coefficients for exponents ``valuation`` through
 ``prec - 1``; exponents at or beyond ``prec`` are *unknown*, not zero.  Every
 coefficient is a Python int: the constructor maps ``operator.index`` over
 them only when some coefficient is not a plain int, so a bool becomes an int
-and a Fraction, float or str raises TypeError.  A rational combination is
-summed as integers where it is made (``eta._rational_sum``), and a remainder
-there raises IntegralityViolation.
+and a Fraction, float or str raises TypeError.
+
+Every integer linear combination of series is made by one routine,
+:meth:`QSeries.combination`: sums and differences, the blocks of a Horner
+evaluation, the columns and sides of the checked identities.  It and the
+rational sums of ``eta._rational_sum`` share one loop, :func:`_scaled_sum`,
+one slice multiply-add per term.  A rational sum is summed as integers
+scaled by the lcm of its denominators and divided once; a remainder raises
+IntegralityViolation.
 
 Every series product goes through one kernel, :func:`_convolve`: it packs
 each operand into one big integer by Kronecker substitution and multiplies
@@ -129,6 +135,22 @@ class QSeries(Record):
             dense[e - lo] = c
         return QSeries(lo, dense, prec)
 
+    @staticmethod
+    def combination(terms, prec: int | None = None) -> "QSeries":
+        """The sum of c * s over the ``(c, s)`` pairs of ``terms``, each c an int.
+
+        It is known to the least of ``prec`` and the precisions of the s whose
+        c is nonzero, so a term with c = 0 neither contributes nor lowers the
+        precision.  ValueError when no c is nonzero and ``prec`` is None.
+        """
+        used = [(c, s) for c, s in terms if c]
+        precs = [s.prec for _, s in used] + ([] if prec is None else [prec])
+        if not precs:
+            raise ValueError("a combination with no nonzero scalar needs a precision")
+        prec = min(precs)
+        lo = min([prec] + [s.valuation for _, s in used])
+        return QSeries(lo, _scaled_sum([(c, s.valuation, s.coeffs) for c, s in used], lo, prec), prec)
+
     # ------------------------------------------------------------------
     # inspection
 
@@ -165,18 +187,16 @@ class QSeries(Record):
                 return False
         return True
 
-    def _lift(self, scalar) -> "QSeries":
-        """The constant ``scalar`` at this series' precision: zero when q^0 is unknown."""
-        if scalar and self.prec > 0:
-            return QSeries(0, (scalar,), self.prec)
-        return QSeries.zero(self.prec)
+    def _operand(self, other) -> "QSeries | None":
+        """``other`` as a series: an int is the constant at this series'
+        precision, zero when q^0 is unknown; None for any other type."""
+        if isinstance(other, int):
+            return QSeries(0, (other,), self.prec) if self.prec > 0 else QSeries.zero(self.prec)
+        return other if isinstance(other, QSeries) else None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._lift(other)
-        if isinstance(other, QSeries):
-            return self.agrees_with(other)
-        return NotImplemented
+        other = self._operand(other)
+        return NotImplemented if other is None else self.agrees_with(other)
 
     __hash__ = None
 
@@ -187,28 +207,18 @@ class QSeries(Record):
         return QSeries(self.valuation, [-c for c in self.coeffs], self.prec)
 
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, int):
-            other = self._lift(other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        prec = min(self.prec, other.prec)
-        lo = min(self.valuation, other.valuation)      # <= prec: a zero series sits at its prec
-        out = [0] * (prec - lo)
-        for s in (self, other):
-            kept = s.coeffs[:max(prec - s.valuation, 0)]
-            i = s.valuation - lo
-            out[i:i + len(kept)] = [x + c for x, c in zip(out[i:], kept)]
-        return QSeries(lo, out, prec)
+        other = self._operand(other)
+        return NotImplemented if other is None else QSeries.combination([(1, self), (1, other)])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
-        if not isinstance(other, (int, QSeries)):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else QSeries.combination([(1, self), (-1, other)])
 
     def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
+        other = self._operand(other)
+        return NotImplemented if other is None else QSeries.combination([(-1, self), (1, other)])
 
     def scalar_mul(self, scalar: int) -> "QSeries":
         if not scalar:
@@ -366,6 +376,19 @@ def deepest(memo: dict, key, prec: int, compute) -> QSeries:
             if key not in memo or memo[key].prec < have.prec:
                 memo[key] = have
     return have.truncated(prec)
+
+
+def _scaled_sum(parts, lo: int, prec: int) -> list:
+    """The coefficients of q^lo through q^(prec - 1) in the sum of
+    c * q^offset * (coeffs[0] + coeffs[1] q + ...) over the ``(c, offset, coeffs)``
+    parts, every offset at least ``lo``: one slice multiply-add per part, its
+    terms at or past q^prec dropped."""
+    out = [0] * (prec - lo)
+    for c, off, coeffs in parts:
+        i = off - lo
+        j = min(i + len(coeffs), len(out))
+        out[i:j] = [x + c * y for x, y in zip(out[i:j], coeffs)]
+    return out
 
 
 def _progression(c) -> tuple[int | None, int]:

@@ -15,7 +15,7 @@ import sys
 from itertools import compress, count, islice
 from math import gcd
 
-from .basis import BasisCache, _extend_powers, _substitute, default_cache
+from .basis import BasisCache, _extend_powers, default_cache
 from .errors import InsufficientPrecision, IntegralityViolation, NoConsistentSign, UnsupportedPair
 from .leveldata import get_level
 from .operators import theta, u_p
@@ -223,13 +223,10 @@ def genfun_check(n: int, k: int, m_max: int, z_prec: int = 32,
     bad = []
     min_overlap = None
     for i in range(-n0 - 1, m_max):
-        lhs = QSeries.zero(tau_prec)
-        for e, c in psi_z.terms():
-            m = i - e
-            if -n0 <= m <= m_max:
-                lhs = lhs + f_tau[m].scalar_mul(c)
+        terms = [(c, f_tau[i - e]) for e, c in psi_z.terms() if -n0 <= i - e <= m_max]
         if -n0 <= i <= m_max:
-            lhs = lhs - psi_tau * f_tau[i]
+            terms.append((-1, psi_tau * f_tau[i]))
+        lhs = QSeries.combination(terms, tau_prec)
         rhs = first_tau.scalar_mul(g_z.coeff(i))
         overlap_hi = min(lhs.prec, rhs.prec)
         starts = [s.valuation for s in (lhs, rhs) if not s.is_zero()]
@@ -397,15 +394,16 @@ def al_identity_check(n: int, p: int, r_set, a_max: int, window: int = 64,
             coeffs = _shift_poly(element.haupt_poly, alt_shift)
             eps = (p - 1) if a else -1
             image = u_p(element.expansion, p)
-            lhs = image.scalar_mul(p)
+            terms = [(p, image)]
             if a:
-                lhs = lhs - elements[m // p].expansion.scalar_mul(p)
+                terms.append((-p, elements[m // p].expansion))
+            lhs = QSeries.combination(terms)
             row = {"r": r, "a": a, "m": m, "degree": len(coeffs) - 1}
             for sign in (1, -1):
                 lam = sign * aux.scale
-                rhs = _substitute([eps * c * lam ** i for i, c in enumerate(coeffs)],
-                                  cusp_powers, lhs.prec)
-                diff = lhs - rhs
+                # lhs minus the right side, eps * sum of c_i lam^i (cusp companion)^i
+                rhs = enumerate(zip(coeffs, cusp_powers))
+                diff = QSeries.combination([(1, lhs)] + [(-eps * c * lam ** i, s) for i, (c, s) in rhs])
                 off = [(e, c) for e, c in diff.terms() if e != 0]
                 if off:
                     sign_works[sign] = False

@@ -221,6 +221,11 @@ class TestMalformedFixtures:
         pytest.param("# no constants\n", "fixture has no level line", id="comments-only"),
         pytest.param(E2_FORM + "term -1/30\n", "mixed eta/e2 weight form term: '-1/30'",
                      id="e2-form-term-without-e2"),
+        pytest.param(E2_FORM + "term eta(1)^2 * eta(2)^-4\n",
+                     "mixed eta/e2 weight form term: 'eta(1)^2 * eta(2)^-4'", id="eta-term-in-e2-form"),
+        pytest.param(E2_FORM + "term 1/48 * e2(2) * e2(3)\n",
+                     "more than one e2 factor in weight form term: '1/48 * e2(2) * e2(3)'",
+                     id="two-e2-factors"),
     ])
     def test_refused_with_its_message(self, monkeypatch, text, message):
         monkeypatch.setattr(leveldata, "_fixture_text", lambda name: text)

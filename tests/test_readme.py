@@ -20,5 +20,6 @@ def test_library_example(monkeypatch):
     assert names["elem"].expansion.pretty(max_terms=3) == "q^-2 + 8q + 30q^2"
     assert names["elem"].haupt_poly == (-12, 0, 1)
     assert names["a_coeff"](6, 0, 1, 2) == 4
+    assert names["sq"] == names["elem"].expansion and names["sq"].prec == 31
     assert names["report"].passed
     assert names["rows"] and all(row.status != "fail" for row in names["rows"])

@@ -86,6 +86,30 @@ class TestAddSub:
         assert (a + b).prec == 7
         assert (a - b).prec == 7
 
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "1", None, [1]])
+    def test_other_operand_types_are_refused(self, other):
+        s = PSI6_HEAD
+        assert s.__sub__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            s - other
+        with pytest.raises(TypeError):
+            other - s
+
+    def test_a_right_hand_type_handles_its_own_difference(self):
+        class Other:
+            def __rsub__(self, left):
+                return "rsub"
+        assert PSI6_HEAD - Other() == "rsub"
+        with pytest.raises(TypeError):
+            Other() - PSI6_HEAD
+
+    def test_int_operands(self):
+        s = PSI6_HEAD
+        assert fields(s - 3) == (-1, (1, -3, 6, 4, -3), 4)
+        assert fields(3 - s) == (-1, (-1, 3, -6, -4, 3), 4)
+        assert fields(s - 0) == fields(s) and fields(0 - s) == fields(-s)
+        assert fields(s - s) == fields(QSeries.zero(4)) and fields(s + True) == fields(s + 1)
+
     def test_scalar_is_unknown_below_q0(self):
         # a series known only below q^0 does not know its constant term
         s = QSeries(-1, (1,), 0)
@@ -98,6 +122,59 @@ class TestAddSub:
         data = get_level(6)
         psi = data.hauptmodul_quotient.series(0) + data.hauptmodul_shift
         assert (psi.valuation, psi.coeffs, psi.prec) == (-1, (1,), 0)
+
+
+def naive_combination(terms, prec=None) -> QSeries:
+    """Independent reference: the sum exponent by exponent, to the least precision of
+    ``prec`` and the series with a nonzero scalar."""
+    used = [(c, s) for c, s in terms if c]
+    prec = min([s.prec for _, s in used] + ([] if prec is None else [prec]))
+    acc = {}
+    for c, s in used:
+        for e in range(s.valuation, prec):
+            acc[e] = acc.get(e, 0) + c * s.coeff(e)
+    return QSeries.from_terms({e: c for e, c in acc.items() if c}, prec)
+
+
+def fields(s: QSeries) -> tuple:
+    return s.valuation, s.coeffs, s.prec
+
+
+class TestCombination:
+    def test_matches_the_per_exponent_sum(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                prec = rng.randint(-3, 40)
+                s = (QSeries.zero(prec) if rng.random() < 0.2
+                     else random_series(rng, prec, val_range=(-6, min(prec - 1, 6)), big=rng.random() < 0.2))
+                terms.append((rng.choice([0, 1, -1, rng.randint(-10 ** 20, 10 ** 20)]), s))
+            prec = rng.choice([None, rng.randint(-4, 45)])
+            if prec is None and not any(c for c, _ in terms):
+                terms.append((1, random_series(rng, 30)))
+            assert fields(QSeries.combination(terms, prec)) == fields(naive_combination(terms, prec))
+
+    def test_zero_scalars_keep_the_precision(self):
+        deep, shallow = QSeries.one(20), QSeries.from_terms({-2: 5, 3: 1}, 4)
+        assert fields(QSeries.combination([(2, deep), (0, shallow)])) == (0, (2,), 20)
+        assert fields(QSeries.combination([(0, shallow)], 9)) == (9, (), 9)
+        assert fields(QSeries.combination([(1, shallow), (-1, shallow)], 30)) == (4, (), 4)
+
+    def test_sum_and_difference_are_combinations(self):
+        a, b = PSI6_HEAD, QSeries.from_terms({-3: 2, 0: -1, 5: 7}, 9)
+        assert fields(a + b) == fields(QSeries.combination([(1, a), (1, b)]))
+        assert fields(a - b) == fields(QSeries.combination([(1, a), (-1, b)]))
+        assert fields(b - a) == fields(QSeries.combination([(-1, a), (1, b)]))
+
+    def test_no_nonzero_scalar_and_no_precision_is_refused(self):
+        for terms in ([], [(0, PSI6_HEAD)], iter([(0, QSeries.one(3)), (0, PSI6_HEAD)])):
+            with pytest.raises(ValueError, match="needs a precision"):
+                QSeries.combination(terms)
+
+    def test_non_int_scalar_is_refused(self):
+        with pytest.raises(TypeError):
+            QSeries.combination([(Fraction(1, 2), PSI6_HEAD)])
 
 
 class TestMul:
